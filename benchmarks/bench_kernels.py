@@ -15,7 +15,7 @@ Usage::
     # later --compare enforces them automatically
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         --record benchmarks/BENCH_kernels.json --repeats 12 --runs 3 \
-        --floor intersection_family@native:3.0
+        --floor intersect_count_table_bounded@native:2.5
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         --record benchmarks/BENCH_kernels.json --repeats 12 --runs 3 --fold  # x3
 
@@ -31,7 +31,8 @@ Usage::
     # not carry that backend, e.g. native without a compiler)
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         --compare benchmarks/BENCH_kernels.json \
-        --require-case intersect_many@native:3.0 --require-case intersect_count_many:1.5
+        --require-case intersect_count_table_bounded@native:3.0 \
+        --require-case intersect_count_table_bounded:1.3
 
     # Fast smoke pass (same fixture, fewer repeats).  With --quick,
     # --require-case also *restricts* the timed cases to the named
@@ -54,13 +55,7 @@ descent and the other backend rows run the level-batched bounded
 descent, so the ``speedup:`` ratios measure batched-over-recursive —
 the gate that keeps the batched restructuring an actual win.
 
-One *derived* case, ``intersection_family``, carries per-backend
-geometric means over the three ``intersect_*`` member cases.  It is a
-regular case to the gate machinery — tolerance bands, ``@BACKEND``
-floors and backend-absent skips all apply — and the headline native
-promise lives there: a committed ``intersection_family@native`` floor
-in the baseline's ``"floors"`` mapping.  In ``--quick`` restrictions
-the family name expands to its members.
+Every other case is named after the one kernel primitive it times.
 """
 
 from __future__ import annotations
@@ -70,49 +65,6 @@ import json
 import sys
 
 from repro.bench import compare_kernel_baselines, run_kernel_microbench
-
-#: Derived gate cases: geometric mean of the member cases' speedup
-#: ratios, per backend.  The intersection family is the paper's hot
-#: path — the family geomean is the headline promise the native
-#: backend commits to (a committed ``intersection_family@native``
-#: floor in BENCH_kernels.json), while the per-member floors keep any
-#: single primitive from silently regressing behind a strong sibling.
-FAMILY_CASES = {
-    "intersection_family": (
-        "intersect_many",
-        "intersect_count_many",
-        "intersect_count_many_bounded",
-    ),
-}
-
-
-def add_family_cases(record: dict) -> None:
-    """Attach the derived family-geomean cases to a microbench record.
-
-    A family case carries only ``speedup:<backend>`` keys (there is no
-    meaningful combined wall-clock), each the geometric mean of the
-    member cases' ratios for that backend — present only when every
-    member was timed for the backend, so a restricted run that skips a
-    member does not publish a half-family geomean.
-    """
-    import math
-
-    for family, members in FAMILY_CASES.items():
-        rows = [record["cases"].get(member) for member in members]
-        if any(row is None for row in rows):
-            record["cases"].pop(family, None)
-            continue
-        entry = {}
-        for name in record.get("backends", []):
-            key = f"speedup:{name}"
-            ratios = [row.get(key) for row in rows]
-            if all(ratio is not None and ratio > 0 for ratio in ratios):
-                entry[key] = math.exp(
-                    sum(math.log(ratio) for ratio in ratios) / len(ratios)
-                )
-        if entry:
-            record["cases"][family] = entry
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -233,8 +185,7 @@ def merge_runs(runs) -> dict:
                     timings[f"speedup:{name}"] = reference / timings[name]
     speedups = [
         value
-        for case, timings in merged["cases"].items()
-        if case not in FAMILY_CASES
+        for timings in merged["cases"].values()
         for key, value in timings.items()
         if key.startswith("speedup:") and value > 0
     ]
@@ -244,7 +195,6 @@ def merge_runs(runs) -> dict:
         else None
     )
     merged["fixture"]["runs"] = len(runs)
-    add_family_cases(merged)
     return merged
 
 
@@ -265,8 +215,7 @@ def fold_baselines(previous: dict, fresh: dict) -> dict:
             into[key] = min(into.get(key, value), value)
     speedups = [
         value
-        for case, timings in previous["cases"].items()
-        if case not in FAMILY_CASES
+        for timings in previous["cases"].values()
         for key, value in timings.items()
         if key.startswith("speedup:") and value > 0
     ]
@@ -331,15 +280,10 @@ def main(argv=None) -> int:
     if args.runs < 1:
         raise SystemExit(f"--runs must be positive, got {args.runs}")
     # --quick + --require-case is the targeted smoke shape: time only
-    # the cases the gate actually binds instead of the whole suite.  A
-    # derived family name expands to its member cases (the family
-    # geomean then re-emerges from the timed members).
+    # the cases the gate actually binds instead of the whole suite.
     cases = None
     if args.quick and case_floors:
-        named = {spec.partition("@")[0] for spec in case_floors}
-        cases = sorted(
-            {member for name in named for member in FAMILY_CASES.get(name, (name,))}
-        )
+        cases = sorted({spec.partition("@")[0] for spec in case_floors})
     need_descent = cases is None or "ista_descent" in cases
     descent_masks = descent_fixture_masks() if need_descent else None
     try:

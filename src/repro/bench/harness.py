@@ -460,11 +460,9 @@ def run_kernel_microbench(
     masks = _dense_fixture(n_rows, n_bits, density, seed)
     probe = masks[0]
     # A fresh random mask is (essentially) never a subset of another
-    # random mask, so subset_any scans every row for both backends
-    # instead of exiting at row zero.
+    # random mask, so the superset query tests every eligible row for
+    # every backend instead of settling at the first hit.
     needle = random.Random(seed + 2).getrandbits(n_bits)
-    selector = random.Random(seed + 1).getrandbits(n_rows) | 1
-    threshold = max(1, int(n_rows * density * 0.5))
     # Early-abort regime: joints of two density-0.5 masks sit near
     # density 0.25, so a bound at 0.65 * n_bits sentinels every row —
     # the maximal-abort workload for the bounded intersection.
@@ -481,25 +479,11 @@ def run_kernel_microbench(
     def cases_for(kernel):
         table = kernel.pack(masks, n_bits)
         query_table = kernel.pack(query_masks, n_bits)
-        # Dedicated table for intersect_selected: the LCM closure path
-        # keeps its transaction table int-backed (no vectorised
-        # primitive ever touches it), so the case must measure that
-        # regime, not the rows-resident form the shared table takes on
-        # after the table-out cases run.
-        closure_table = kernel.pack(masks, n_bits)
-        counts = kernel.column_counts(masks, n_bits)
+        # Each case is named after the primitive it times, on the
+        # resident table form the callers hold (the one-off pack sits
+        # outside the timing).
         return {
-            # The intersect-family cases time the *resident* table
-            # forms — the calls the miners' hot loops actually make
-            # (table-in/table-out; the one-off pack sits outside the
-            # timing).  The mask-list forms they replaced are pinned at
-            # ~1.0x by the int<->ndarray conversion at the boundary; the
-            # resident forms are where that ceiling breaks.
-            "intersect_many": lambda: kernel.intersect_table(table, probe),
-            "intersect_count_many": lambda: kernel.intersect_count_table(
-                table, probe
-            ),
-            "intersect_count_many_bounded": lambda: (
+            "intersect_count_table_bounded": lambda: (
                 kernel.intersect_count_table_bounded(table, probe, abort_bound)
             ),
             "superset_max_support_bounded": lambda: (
@@ -509,12 +493,7 @@ def run_kernel_microbench(
             ),
             "popcount_many": lambda: kernel.popcount_many(masks),
             "popcount_rows": lambda: kernel.popcount_rows(table),
-            "subset_any": lambda: kernel.subset_any(table, needle),
-            "intersect_selected": lambda: kernel.intersect_selected(
-                closure_table, selector
-            ),
             "column_counts": lambda: kernel.column_counts(masks, n_bits),
-            "bound_filter": lambda: kernel.bound_filter(counts, probe, threshold),
         }
 
     case_filter = list(cases) if cases is not None else None
@@ -639,7 +618,7 @@ def compare_kernel_baselines(
     (``"name"``, binding every ratio of the case; or
     ``"name@backend"``, binding only that backend's ratio) to absolute
     speedup floors the fresh run must clear — hard promises for
-    specific primitives (e.g. the resident intersect family),
+    specific primitives (e.g. the bounded resident intersection),
     independent of the baseline and of ``tolerance``.  Floors committed
     in the baseline itself (a top-level ``"floors"`` mapping with the
     same spec syntax) apply automatically on every comparison;
@@ -716,9 +695,9 @@ def compare_kernel_baselines(
             and case not in case_filter
             and case not in fresh.get("cases", {})
         ):
-            # The case was deliberately restricted out of this run (the
-            # derived-family cases survive a restriction to their
-            # members, hence the second condition).
+            # The case was deliberately restricted out of this run (a
+            # case the fresh run carries anyway still binds, hence the
+            # second condition).
             continue
         fresh_timings = fresh.get("cases", {}).get(case, {})
         if at:

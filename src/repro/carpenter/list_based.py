@@ -52,13 +52,13 @@ def mine_carpenter_lists(
 
     ``guard`` is polled at every subproblem; on interruption the sets
     reported so far (all genuinely closed, with exact supports) are
-    attached to the exception as an anytime result.  ``backend``
-    selects the set-algebra kernel (:mod:`repro.kernels`); a vectorised
-    backend batches the forward containment check of the closedness
-    test over the packed transaction table.
+    attached to the exception as an anytime result.  ``backend`` is
+    accepted for API uniformity (validated, not used: a batched forward
+    check over a packed transaction table lost end to end, and the
+    search makes no kernel calls).
     """
+    resolve_backend(backend)
     obs = resolve_probe(probe)
-    kernel = obs.wrap_kernel(resolve_backend(backend))
     with obs.phase("recode", algorithm="carpenter-lists"):
         prepared, code_map = prepare_for_mining(
             db, smin, item_order=item_order, transaction_order=transaction_order
@@ -85,7 +85,6 @@ def mine_carpenter_lists(
     full = (1 << n_items) - 1
     pairs: List[tuple] = []
     check = checker(guard, counters)
-    trans_table = kernel.pack(transactions, n_items) if kernel.vectorized else None
 
     # Explicit DFS stack of subproblems (I, |K|, l).  The exclude branch
     # is pushed first so the include branch is explored first (LIFO) —
@@ -96,7 +95,6 @@ def mine_carpenter_lists(
             _search(
                 stack, transactions, n, smin, tid_lists, repository, pairs,
                 eliminate_items, perfect_extension, counters, check,
-                kernel, trans_table,
             )
     except MiningInterrupted as exc:
         exc.attach_partial(
@@ -123,11 +121,8 @@ def _search(
     perfect_extension: bool,
     counters: OperationCounters,
     check,
-    kernel,
-    trans_table,
 ) -> None:
     """The DFS over subproblems, separated so interruption can unwind it."""
-    batched = trans_table is not None
     while stack:
         check()
         intersection, k, position = stack.pop()
@@ -153,12 +148,8 @@ def _search(
                 skip_exclude = True
             if k + 1 >= smin and candidate not in repository:
                 counters.containment_checks += 1
-                if not (
-                    kernel.subset_any(trans_table, candidate, position + 1)
-                    if batched
-                    else _contained_forward(
-                        candidate, transactions, position + 1, counters
-                    )
+                if not _contained_forward(
+                    candidate, transactions, position + 1, counters
                 ):
                     pairs.append((candidate, k + 1))
                     counters.reports += 1

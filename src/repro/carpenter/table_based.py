@@ -13,17 +13,11 @@ indexing, and the elimination bound costs nothing extra — which is
 exactly why the paper found this variant "somewhat better" than the
 list-based one.
 
-Two kernel paths (:mod:`repro.kernels`):
-
-* ``bitint`` — the matrix is held as plain nested lists (scalar
-  indexing into a numpy array would dominate the inner loop in
-  CPython) and the elimination bound is a per-item bit loop;
-* a vectorised backend — the matrix stays a numpy array, one
-  :meth:`~repro.kernels.base.KernelBackend.bound_filter` column-count
-  comparison replaces the whole per-item loop, and the forward
-  containment check is one
-  :meth:`~repro.kernels.base.KernelBackend.subset_any` batch over the
-  packed transaction table.
+The matrix is held as plain nested lists (scalar indexing into a numpy
+array would dominate the inner loop in CPython) and the elimination
+bound is a per-item bit loop, on every kernel backend: a vectorised
+column-count filter and a packed forward check were measured 2-3x
+slower end to end, so the search makes no kernel calls.
 """
 
 from __future__ import annotations
@@ -31,14 +25,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..common import finalize, prepare_for_mining
-from ..data import itemset
 from ..data.database import TransactionDatabase
 from ..data.matrix import build_matrix
-from ..kernels import KernelBackend, resolve_backend
+from ..kernels import resolve_backend
 from ..obs import resolve_probe
 from ..result import MiningResult
 from ..runtime import MiningInterrupted, RunGuard, checker
 from ..stats import OperationCounters
+from .list_based import _contained_forward
 from .repository import make_repository
 
 __all__ = ["mine_carpenter_table"]
@@ -61,11 +55,11 @@ def mine_carpenter_table(
 
     ``guard`` is polled at every subproblem; on interruption the sets
     reported so far (all genuinely closed, with exact supports) are
-    attached to the exception as an anytime result.  ``backend``
-    selects the set-algebra kernel (:mod:`repro.kernels`).
+    attached to the exception as an anytime result.  ``backend`` is
+    accepted for API uniformity (validated, not used).
     """
+    resolve_backend(backend)
     obs = resolve_probe(probe)
-    kernel = obs.wrap_kernel(resolve_backend(backend))
     with obs.phase("recode", algorithm="carpenter-table"):
         prepared, code_map = prepare_for_mining(
             db, smin, item_order=item_order, transaction_order=transaction_order
@@ -78,16 +72,13 @@ def mine_carpenter_table(
         obs.record_counters(counters)
         return finalize((), code_map, db, "carpenter-table", smin)
 
-    matrix = build_matrix(prepared)
-    if not kernel.vectorized:
-        # Plain nested lists: scalar indexing into a numpy array would
-        # dominate the inner loop in CPython.
-        matrix = matrix.tolist()
+    # Plain nested lists: scalar indexing into a numpy array would
+    # dominate the inner loop in CPython.
+    matrix = build_matrix(prepared).tolist()
     repository = make_repository(repository_kind, n_items)
     full = (1 << n_items) - 1
     pairs: List[tuple] = []
     check = checker(guard, counters)
-    trans_table = kernel.pack(transactions, n_items) if kernel.vectorized else None
 
     # DFS over subproblems (I, |K|, l); exclude pushed before include so
     # the include branch runs first (repository soundness).
@@ -97,7 +88,6 @@ def mine_carpenter_table(
             _search(
                 stack, transactions, matrix, n, smin, repository, pairs,
                 eliminate_items, perfect_extension, counters, check,
-                kernel, trans_table,
             )
     except MiningInterrupted as exc:
         exc.attach_partial(
@@ -124,11 +114,8 @@ def _search(
     perfect_extension: bool,
     counters: OperationCounters,
     check,
-    kernel: KernelBackend,
-    trans_table,
 ) -> None:
     """The DFS over subproblems, separated so interruption can unwind it."""
-    batched = trans_table is not None
     while stack:
         check()
         intersection, k, position = stack.pop()
@@ -145,18 +132,6 @@ def _search(
         mask = intersection & transactions[position]
         if not eliminate_items:
             candidate = mask
-        elif batched:
-            # One vectorised column-count comparison replaces the
-            # per-item loop: keep the items of ``mask`` whose remaining
-            # occurrences can still lift the set to the threshold.
-            # (mask ⊆ t_position, so every kept entry is non-zero.)
-            # This is Carpenter's form of the smin pushdown the
-            # ``*_bounded`` kernels give the intersection miners: the
-            # bound settles doomed items before any deeper work, here
-            # on partial (suffix) occurrence counts rather than on
-            # partial popcounts of a joint row.
-            candidate = kernel.bound_filter(row, mask, max(smin - k, 0))
-            counters.items_eliminated += itemset.size(mask ^ candidate)
         else:
             candidate = 0
             while mask:
@@ -172,12 +147,8 @@ def _search(
             skip_exclude = perfect_extension and candidate == intersection
             if k + 1 >= smin:
                 counters.containment_checks += 1
-                if candidate not in repository and not (
-                    kernel.subset_any(trans_table, candidate, position + 1)
-                    if batched
-                    else _contained_forward(
-                        candidate, transactions, position + 1, counters
-                    )
+                if candidate not in repository and not _contained_forward(
+                    candidate, transactions, position + 1, counters
                 ):
                     pairs.append((candidate, k + 1))
                     counters.reports += 1
@@ -190,16 +161,3 @@ def _search(
         elif position + 1 < n:
             stack.append((intersection, k, position + 1))
 
-
-def _contained_forward(
-    candidate: int,
-    transactions: List[int],
-    start: int,
-    counters: OperationCounters,
-) -> bool:
-    """Is ``candidate`` contained in some transaction at index >= start?"""
-    for transaction in transactions[start:]:
-        counters.containment_checks += 1
-        if candidate & ~transaction == 0:
-            return True
-    return False

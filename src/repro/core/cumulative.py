@@ -60,15 +60,9 @@ def mine_cumulative(
     the repository is salvaged through
     :func:`repro.closure.verify.refine_anytime` and attached to the
     exception as an anytime result.  ``backend`` selects the
-    set-algebra kernel (:mod:`repro.kernels`); a vectorised backend
-    keeps the repository *resident* as a packed table — packed once,
-    lazily, then grown in place with
-    :meth:`~repro.kernels.base.KernelBackend.append_rows` as new
-    intersections arrive (dict insertion order keeps the table rows
-    aligned with ``repository.values()``), so each transaction's scan
-    is one table-wide AND with no per-transaction repacking.  Pruning
-    re-keys the map, so it simply drops the table; the next scan
-    repacks.
+    set-algebra kernel (:mod:`repro.kernels`) for the pruning counts;
+    the repository scan itself is a plain loop on every backend (a
+    resident packed repository was measured slower end to end).
     """
     obs = resolve_probe(probe)
     kernel = obs.wrap_kernel(resolve_backend(backend))
@@ -78,15 +72,8 @@ def mine_cumulative(
         )
     counters = obs.ensure_counters(counters)
     check = checker(guard, counters)
-    # Per-row poll for the vectorised scan/apply loops below: the
-    # bitint branch polls once per stored set, and the interruption
-    # contract (docs/robustness.md) keeps that granularity backend-
-    # independent — but only a *guarded* run pays the per-row call;
-    # unguarded runs skip on a plain None test.
-    row_check = check if guard is not None else None
     transactions = prepared.transactions
     n_items = prepared.n_items
-    batched = kernel.vectorized
 
     remaining = [0] * n_items
     if prune:
@@ -95,9 +82,6 @@ def mine_cumulative(
             raise ValueError(f"prune_interval must be positive, got {prune_interval}")
 
     repository: Dict[int, int] = {}
-    # Resident packed mirror of the repository keys (batched path only);
-    # ``None`` means "rebuild lazily on the next scan".
-    repo_table = None
     processed = 0
     try:
         with obs.phase(
@@ -111,49 +95,20 @@ def mine_cumulative(
                 # Support of every intersection: 1 (for t itself) + the
                 # largest support among the repository sets producing it.
                 updates: Dict[int, int] = {transaction: 0}
-                if batched and repository:
+                # The repository can grow exponentially on unfavourable
+                # inputs; one transaction's scan may then outlast the
+                # whole budget, so the guard is polled per stored set.
+                for stored, support in repository.items():
                     check()
-                    counters.intersections += len(repository)
-                    if repo_table is None:
-                        repo_table = kernel.pack(list(repository), n_items)
-                    intersections = kernel.intersect_rows(repo_table, transaction)
-                    for intersection, support in zip(
-                        intersections, repository.values()
-                    ):
-                        # The repository can grow exponentially on
-                        # unfavourable inputs; one transaction's scan
-                        # may then outlast the whole budget, so a
-                        # guarded run polls per row here too.
-                        if row_check is not None:
-                            row_check()
-                        if intersection:
-                            best = updates.get(intersection)
-                            if best is None or support > best:
-                                updates[intersection] = support
-                elif not batched:
-                    for stored, support in repository.items():
-                        check()
-                        counters.intersections += 1
-                        intersection = stored & transaction
-                        if intersection:
-                            best = updates.get(intersection)
-                            if best is None or support > best:
-                                updates[intersection] = support
-                if batched:
-                    new_keys = []
-                    for intersection, support in updates.items():
-                        if row_check is not None:
-                            row_check()
-                        if intersection not in repository:
-                            new_keys.append(intersection)
-                        repository[intersection] = support + 1
-                        counters.support_updates += 1
-                    if repo_table is not None and new_keys:
-                        kernel.append_rows(repo_table, new_keys)
-                else:
-                    for intersection, support in updates.items():
-                        repository[intersection] = support + 1
-                        counters.support_updates += 1
+                    counters.intersections += 1
+                    intersection = stored & transaction
+                    if intersection:
+                        best = updates.get(intersection)
+                        if best is None or support > best:
+                            updates[intersection] = support
+                for intersection, support in updates.items():
+                    repository[intersection] = support + 1
+                    counters.support_updates += 1
                 counters.observe_repository_size(len(repository))
                 processed += 1
 
@@ -167,9 +122,6 @@ def mine_cumulative(
                         transactions
                     ):
                         _prune_repository(repository, remaining, smin, counters)
-                        # Pruning re-keys the map; the packed mirror is
-                        # stale.  Rebuild lazily on the next scan.
-                        repo_table = None
     except MiningInterrupted as exc:
         exc.attach_partial(
             lambda: refine_anytime(

@@ -149,12 +149,36 @@ def read_fimi(
     return TransactionDatabase.from_iterable(typed_rows, item_order=order)
 
 
+def _fimi_token(label: Hashable) -> str:
+    """One whitespace-free FIMI token for an item label.
+
+    A tuple label (the ``(gene, direction)`` items of the expression
+    datasets) joins its parts — ``('g48', '+')`` becomes ``g48+`` — so
+    one label reads back as one item, not one per ``str()`` fragment.
+    """
+    if isinstance(label, tuple):
+        text = "".join(str(part) for part in label)
+    else:
+        text = str(label)
+    if not text or any(char.isspace() for char in text):
+        raise ValueError(f"item label {label!r} has no whitespace-free FIMI token")
+    return text
+
+
 def format_fimi(db: TransactionDatabase) -> str:
-    """Serialise a database to FIMI text (items in code order per line)."""
-    lines = []
-    for transaction in db.transactions:
-        labels = db.decode(transaction)
-        lines.append(" ".join(str(label) for label in labels))
+    """Serialise a database to FIMI text (items in code order per line).
+
+    Raises ``ValueError`` when a label has no whitespace-free token or
+    two labels share one: either would change the item count on reading
+    the text back.
+    """
+    tokens = {label: _fimi_token(label) for label in db.item_labels}
+    if len(set(tokens.values())) != len(tokens):
+        raise ValueError("two item labels share a FIMI token")
+    lines = [
+        " ".join(tokens[label] for label in db.decode(transaction))
+        for transaction in db.transactions
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

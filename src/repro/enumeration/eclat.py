@@ -15,8 +15,8 @@ Three targets:
 * ``"maximal"`` — closed sets filtered to maximal ones.
 
 The extension step — intersect the current tid mask with every
-remaining candidate's and count the survivors — is the hot loop.  With
-a vectorised backend the sibling family lives as a *resident* packed
+remaining candidate's and count the survivors — is the hot loop.  On
+every backend the sibling family lives as a *resident* packed
 table (:meth:`repro.kernels.base.KernelBackend.pack` once at the root),
 each node narrows it with one table-in/table-out
 :meth:`~repro.kernels.base.KernelBackend.intersect_count_table_bounded`
@@ -26,7 +26,7 @@ table via :meth:`~repro.kernels.base.KernelBackend.select_rows` —
 tid masks cross the int boundary only once per node, for the
 intersection probe itself.  Note that for a candidate
 ``joint ⊆ tids``, ``joint == tids`` iff their popcounts agree, which is
-how the batched closed path detects perfect extensions from the
+how the closed path detects perfect extensions from the
 support vector alone (a below-``smin`` sentinel can never equal the
 node support, which is ``>= smin`` by construction).
 """
@@ -64,9 +64,8 @@ def mine_eclat(
     ``guard`` is polled at every search node; the sets found before an
     interruption (exact supports; genuinely closed for the closed
     target) are attached to the exception as an anytime result.
-    ``backend`` selects the set-algebra kernel (:mod:`repro.kernels`);
-    a vectorised backend batches the tid-mask intersections of each
-    extension family.
+    ``backend`` selects the set-algebra kernel (:mod:`repro.kernels`)
+    that batches the tid-mask intersections of each extension family.
     """
     if target not in ("all", "closed", "maximal"):
         raise ValueError(f"unknown target {target!r}")
@@ -132,47 +131,12 @@ def _mine_all(
     counters: OperationCounters,
     check,
 ) -> None:
-    """Plain Eclat: stack of (prefix mask, candidate extension list)."""
-    if kernel.vectorized:
-        _mine_all_tables(items, pairs, smin, n_transactions, kernel, counters, check)
-        return
-    stack = [(0, items)]
-    while stack:
-        prefix, extensions = stack.pop()
-        for index, (item, tids) in enumerate(extensions):
-            check()
-            counters.recursion_calls += 1
-            support = itemset.size(tids)
-            mask = prefix | (1 << item)
-            pairs.append((mask, support))
-            counters.reports += 1
-            tail = extensions[index + 1 :]
-            narrowed = []
-            for other, other_tids in tail:
-                counters.intersections += 1
-                joint = tids & other_tids
-                if itemset.size(joint) >= smin:
-                    narrowed.append((other, joint))
-            if narrowed:
-                stack.append((mask, narrowed))
+    """Plain Eclat over resident packed tid tables.
 
-
-def _mine_all_tables(
-    items: List[Tuple[int, int]],
-    pairs: List[Tuple[int, int]],
-    smin: int,
-    n_transactions: int,
-    kernel: KernelBackend,
-    counters: OperationCounters,
-    check,
-) -> None:
-    """Batched plain Eclat over resident packed tid tables.
-
-    Same traversal and output order as the scalar path: frames hold the
-    sibling family as a packed table plus the aligned item codes and
-    supports, each node narrows the tail with one bounded
-    table-in/table-out call, and survivors are gathered into the
-    child's table without ever unpacking the tid masks.
+    Frames hold the sibling family as a packed table plus the aligned
+    item codes and supports; each node narrows the tail with one
+    bounded table-in/table-out call, and survivors are gathered into
+    the child's table without ever unpacking the tid masks.
     """
     if not items:
         return
@@ -222,68 +186,16 @@ def _mine_closed(
     counters: OperationCounters,
     check,
 ) -> None:
-    """CHARM-style closed mining.
+    """CHARM-style closed mining over resident packed tid tables.
 
     Iterative depth-first search with *resumable* frames: a branch's
     whole subtree must be explored before its right siblings, because
     the subsumption check relies on all closed supersets reachable
-    through earlier items having been stored already.
-    """
-    if kernel.vectorized:
-        _mine_closed_tables(items, store, smin, n_transactions, kernel, counters, check)
-        return
-    stack: List[List] = [[0, items, 0]]
-    while stack:
-        check()
-        frame = stack[-1]
-        current, extensions, index = frame
-        if index >= len(extensions):
-            stack.pop()
-            continue
-        frame[2] = index + 1
-        item, tids = extensions[index]
-        counters.recursion_calls += 1
-        support = itemset.size(tids)
-        candidate = current | (1 << item)
-        # Absorb perfect extensions: any later item whose tid mask
-        # covers this prefix's belongs to the closure.  Items that
-        # are not perfect extensions stay extension candidates.
-        tail = extensions[index + 1 :]
-        narrowed = []
-        for other, other_tids in tail:
-            counters.intersections += 1
-            joint = tids & other_tids
-            if joint == tids:
-                candidate |= 1 << other
-            elif itemset.size(joint) >= smin:
-                narrowed.append((other, joint))
-        counters.containment_checks += 1
-        if store.subsumed(candidate, support):
-            # The closure contains an item from an earlier branch;
-            # every set in this subtree is likewise non-closed.
-            continue
-        store.add(candidate, support)
-        counters.reports += 1
-        if narrowed:
-            stack.append([candidate, narrowed, 0])
-
-
-def _mine_closed_tables(
-    items: List[Tuple[int, int]],
-    store: ClosedSetStore,
-    smin: int,
-    n_transactions: int,
-    kernel: KernelBackend,
-    counters: OperationCounters,
-    check,
-) -> None:
-    """Batched CHARM over resident packed tid tables.
-
-    Identical traversal, closures and output as the scalar path; the
-    sibling tid family stays packed across levels.  Every frame support
-    is ``>= smin`` by construction, so the bounded call's
-    below-threshold sentinel (-1) can never be mistaken for a perfect
-    extension (``joint_support == support``).
+    through earlier items having been stored already.  The sibling tid
+    family stays packed across levels.  Every frame support is
+    ``>= smin`` by construction, so the bounded call's below-threshold
+    sentinel (-1) can never be mistaken for a perfect extension
+    (``joint_support == support``).
     """
     if not items:
         return

@@ -10,13 +10,11 @@ checks — the property that made LCM the FIMI'04 best implementation.
 
 Closures are computed by intersecting the covering transactions
 (single bitmask ANDs here), the honest Python counterpart of LCM's
-occurrence-deliver machinery.  With a vectorised kernel backend both
-halves of the node expansion are batched: the new covers of the whole
-extension range come from one
-:meth:`~repro.kernels.base.KernelBackend.intersect_count_rows` call
-over the packed tid-mask table, and each closure is one
-:meth:`~repro.kernels.base.KernelBackend.intersect_selected`
-AND-reduction over the packed transaction table.
+occurrence-deliver machinery.  The node expansion runs on plain ints on
+every kernel backend: a batched numpy form (packed cover gathers plus a
+packed AND-reduction per closure) was measured slower end to end at
+the paper's yeast scale, so LCM has one code path and makes no kernel
+calls.
 """
 
 from __future__ import annotations
@@ -48,11 +46,11 @@ def mine_lcm(
 
     ``guard`` is polled at every search node; the closed sets reported
     before an interruption are exact and attached to the exception as
-    an anytime result.  ``backend`` selects the set-algebra kernel
-    (:mod:`repro.kernels`).
+    an anytime result.  ``backend`` is accepted for API uniformity
+    (validated, not used: see the module docstring).
     """
+    resolve_backend(backend)
     obs = resolve_probe(probe)
-    kernel = obs.wrap_kernel(resolve_backend(backend))
     with obs.phase("recode", algorithm="lcm"):
         prepared, code_map = prepare_for_mining(
             db, smin, item_order=item_order, transaction_order="identity"
@@ -69,24 +67,7 @@ def mine_lcm(
     all_tids = (1 << n) - 1
     pairs: List[Tuple[int, int]] = []
     check = checker(guard, counters)
-    batched = kernel.vectorized
-    if batched:
-        # Static tables, packed once for the whole run: transactions as
-        # item-bit rows (closures) and tid masks as transaction-bit rows
-        # (extension covers).
-        trans_table = kernel.pack(transactions, n_items)
-        tid_table = kernel.pack(tid_masks, n)
-
-        def closure_of(cover: int) -> int:
-            counters.intersections += itemset.size(cover)
-            return kernel.intersect_selected(trans_table, cover)
-
-    else:
-
-        def closure_of(cover: int) -> int:
-            return _closure(transactions, cover, counters)
-
-    root = closure_of(all_tids)
+    root = _closure(transactions, all_tids, counters)
     if root:
         pairs.append((root, n))
         counters.reports += 1
@@ -99,37 +80,6 @@ def mine_lcm(
             while stack:
                 closed_set, cover, core = stack.pop()
                 counters.recursion_calls += 1
-                if batched:
-                    extension_items = [
-                        item
-                        for item in range(core + 1, n_items)
-                        if not closed_set >> item & 1
-                    ]
-                    if not extension_items:
-                        continue
-                    check()
-                    counters.intersections += len(extension_items)
-                    # smin pushed down: infrequent extensions settle as
-                    # below-threshold sentinels (support -1, cover 0)
-                    # and the frequency filter below drops them exactly
-                    # as it dropped their fully-counted joints before.
-                    new_covers, supports = kernel.intersect_count_rows_bounded(
-                        tid_table, extension_items, cover, smin
-                    )
-                    for item, new_cover, support in zip(
-                        extension_items, new_covers, supports
-                    ):
-                        if support < smin:
-                            continue
-                        candidate = closure_of(new_cover)
-                        lower = (1 << item) - 1
-                        counters.containment_checks += 1
-                        if candidate & lower != closed_set & lower:
-                            continue
-                        pairs.append((candidate, support))
-                        counters.reports += 1
-                        stack.append((candidate, new_cover, item))
-                    continue
                 for item in range(core + 1, n_items):
                     check()
                     if closed_set >> item & 1:
@@ -139,7 +89,7 @@ def mine_lcm(
                     support = itemset.size(new_cover)
                     if support < smin:
                         continue
-                    candidate = closure_of(new_cover)
+                    candidate = _closure(transactions, new_cover, counters)
                     # Prefix-preserving check: the closure must not reach
                     # below ``item`` beyond what the parent already had.
                     lower = (1 << item) - 1

@@ -18,9 +18,9 @@ interchangeable backends ship:
     ``benchmarks/bench_kernels.py`` for the measured crossover.
 
 ``"native"``
-    The numpy backend with the profiled-worst primitives (the resident
-    intersection family, the bounded superset query, row popcounts)
-    re-routed through an optional C extension
+    The numpy backend with three primitives (the bounded Eclat descent
+    step, the bounded superset query, row popcounts) re-routed through
+    an optional C extension
     (``repro.kernels._native``).  Only registered when the extension
     was built; selecting it on a build without the extension **falls
     back to numpy silently** — a pure-Python install keeps working

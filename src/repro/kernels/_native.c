@@ -3,8 +3,6 @@
  * This module implements the profiled-worst batched primitives of the
  * kernel ABI (see repro/kernels/base.py) as plain C loops:
  *
- *   intersect(rows, mask)                      -> joint row bytes
- *   intersect_count(rows, mask)                -> (joint bytes, supports)
  *   intersect_count_bounded(rows, mask, smin)  -> (joint bytes, supports)
  *   superset_max_support_bounded(rows, supports, mask, smin) -> int
  *   popcount_rows(rows)                        -> supports
@@ -96,63 +94,18 @@ get_mask(Py_buffer *mask_view, Py_ssize_t n_words)
 }
 
 static PyObject *
-native_intersect(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *rows_obj, *out = NULL;
-    Py_buffer mask_view;
-    rows_buffer rows;
-    uint64_t *mask = NULL, *dst;
-    Py_ssize_t i, w, n_words;
-
-    if (!PyArg_ParseTuple(args, "Oy*:intersect", &rows_obj, &mask_view))
-        return NULL;
-    if (get_rows(rows_obj, &rows) < 0) {
-        PyBuffer_Release(&mask_view);
-        return NULL;
-    }
-    n_words = rows.n_words;
-    mask = get_mask(&mask_view, n_words);
-    if (mask == NULL)
-        goto done;
-    out = PyBytes_FromStringAndSize(NULL, rows.n_rows * n_words * 8);
-    if (out == NULL)
-        goto done;
-    dst = (uint64_t *)PyBytes_AS_STRING(out);
-    for (i = 0; i < rows.n_rows; i++) {
-        const uint64_t *src = rows.data + i * n_words;
-        uint64_t *row = dst + i * n_words;
-        for (w = 0; w < n_words; w++)
-            row[w] = src[w] & mask[w];
-    }
-done:
-    PyMem_Free(mask);
-    PyBuffer_Release(&rows.view);
-    PyBuffer_Release(&mask_view);
-    return out;
-}
-
-/* Shared body of intersect_count / intersect_count_bounded: smin is
- * LLONG_MIN-free — a bounded call passes the caller's smin, the
- * unbounded one passes 0, where no support can ever fall below the
- * bound and the sentinel branch is dead. */
-static PyObject *
-intersect_count_impl(PyObject *args, const char *signature, int bounded)
+native_intersect_count_bounded(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *rows_obj, *out = NULL, *supports = NULL, *result = NULL;
     Py_buffer mask_view;
     rows_buffer rows;
     uint64_t *mask = NULL, *dst;
-    long long smin = 0;
+    long long smin;
     Py_ssize_t i, w, n_words;
 
-    if (bounded) {
-        if (!PyArg_ParseTuple(args, signature, &rows_obj, &mask_view, &smin))
-            return NULL;
-    }
-    else {
-        if (!PyArg_ParseTuple(args, signature, &rows_obj, &mask_view))
-            return NULL;
-    }
+    if (!PyArg_ParseTuple(args, "Oy*L:intersect_count_bounded",
+                          &rows_obj, &mask_view, &smin))
+        return NULL;
     if (get_rows(rows_obj, &rows) < 0) {
         PyBuffer_Release(&mask_view);
         return NULL;
@@ -171,28 +124,20 @@ intersect_count_impl(PyObject *args, const char *signature, int bounded)
         uint64_t *row = dst + i * n_words;
         int64_t count = 0;
         PyObject *value;
-        if (smin > 0) {
-            /* Early-stopping rule: once the running count plus the
-             * remaining-word upper bound cannot reach smin, the row is
-             * settled — its tail words are never touched. */
-            for (w = 0; w < n_words; w++) {
-                uint64_t joint = src[w] & mask[w];
-                row[w] = joint;
-                count += popcount64(joint);
-                if (count + (int64_t)(n_words - 1 - w) * 64 < smin)
-                    break;
-            }
-            if (count < smin) {
-                memset(row, 0, (size_t)n_words * 8);
-                count = NATIVE_BELOW_BOUND;
-            }
+        /* Early-stopping rule: once the running count plus the
+         * remaining-word upper bound cannot reach smin, the row is
+         * settled — its tail words are never touched.  With smin <= 0
+         * the bound never fires and no row is sentinelled. */
+        for (w = 0; w < n_words; w++) {
+            uint64_t joint = src[w] & mask[w];
+            row[w] = joint;
+            count += popcount64(joint);
+            if (count + (int64_t)(n_words - 1 - w) * 64 < smin)
+                break;
         }
-        else {
-            for (w = 0; w < n_words; w++) {
-                uint64_t joint = src[w] & mask[w];
-                row[w] = joint;
-                count += popcount64(joint);
-            }
+        if (count < smin) {
+            memset(row, 0, (size_t)n_words * 8);
+            count = NATIVE_BELOW_BOUND;
         }
         value = PyLong_FromLongLong(count);
         if (value == NULL)
@@ -207,18 +152,6 @@ done:
     PyBuffer_Release(&rows.view);
     PyBuffer_Release(&mask_view);
     return result;
-}
-
-static PyObject *
-native_intersect_count(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    return intersect_count_impl(args, "Oy*:intersect_count", 0);
-}
-
-static PyObject *
-native_intersect_count_bounded(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    return intersect_count_impl(args, "Oy*L:intersect_count_bounded", 1);
 }
 
 static PyObject *
@@ -318,10 +251,6 @@ done:
 }
 
 static PyMethodDef native_methods[] = {
-    {"intersect", native_intersect, METH_VARARGS,
-     "intersect(rows, mask) -> bytes of every row AND the packed mask"},
-    {"intersect_count", native_intersect_count, METH_VARARGS,
-     "intersect_count(rows, mask) -> (joint bytes, per-row popcounts)"},
     {"intersect_count_bounded", native_intersect_count_bounded, METH_VARARGS,
      "intersect_count_bounded(rows, mask, smin) -> (joint bytes, "
      "supports with the BELOW_BOUND sentinel)"},

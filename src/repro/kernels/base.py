@@ -2,10 +2,11 @@
 
 Every miner in this package bottoms out in the same handful of bitmask
 operations: intersecting one set against many, counting members,
-testing containment, AND-reducing a selected family.  A
-:class:`KernelBackend` bundles *batched* forms of those primitives so a
-hot loop can hand a whole family of sets to the backend in one call
-instead of iterating in Python.
+testing containment.  A :class:`KernelBackend` bundles *batched* forms
+of those operations so a hot loop can hand a whole family of sets to
+the backend in one call instead of iterating in Python.  The interface
+holds only the primitives some production caller uses (a test enforces
+it); each miner has one code path whatever backend runs it.
 
 Two representations appear in the interface:
 
@@ -52,7 +53,7 @@ class KernelBackend:
     #: Registry name of the backend.
     name: str = "?"
     #: True when the backend executes batches outside the interpreter
-    #: loop; miners use this to pick their batched code paths.
+    #: loop.  Descriptive only: no miner branches on it.
     vectorized: bool = False
 
     # -- packed tables --------------------------------------------------
@@ -61,35 +62,21 @@ class KernelBackend:
         """Pack a fixed list of masks into the backend's table form."""
         raise NotImplementedError
 
-    def unpack(self, table) -> List[int]:
-        """The masks of a table, as plain ints, in row order."""
-        raise NotImplementedError
-
-    def table_len(self, table) -> int:
-        """Number of rows in a table."""
-        raise NotImplementedError
-
     # -- resident tables -------------------------------------------------
-    # Tables are *resident*: a miner packs its repository or tid lists
-    # once, holds the handle across kernel calls, and grows it in place
-    # as new rows arrive.  The table-in/table-out primitives below keep
-    # intermediate results in the packed domain — for the numpy backend
-    # that means no int <-> ndarray conversion on the hot path, which is
-    # what bounded the conversion-heavy primitives at ~1.0x before.
+    # Tables are *resident*: a caller packs its family once, holds the
+    # handle across kernel calls, and grows it in place as new rows
+    # arrive.  The table-in/table-out primitive below keeps intermediate
+    # results in the packed domain — for the numpy backend that means no
+    # int <-> ndarray conversion on the hot path.  Both table types
+    # define ``len(table)`` (row count), ``table.n_bits`` and a
+    # ``table.generation`` mutation counter (0 at pack time, +1 per
+    # append) that lets a cache validate a held handle.
 
     def append_rows(self, table, masks: Sequence[int]) -> None:
         """Append masks to a table in place (amortised-doubling growth).
 
         Bumps the table's generation tag.  Masks must fit the table's
         packed width (``< 2**n_bits``, word-rounded).
-        """
-        raise NotImplementedError
-
-    def table_generation(self, table) -> int:
-        """Mutation counter of a table: 0 at pack time, +1 per append.
-
-        Lets a cache (the serving engine's memoised packed family)
-        validate a held handle without comparing contents.
         """
         raise NotImplementedError
 
@@ -111,38 +98,22 @@ class KernelBackend:
     def intersect_rows(self, table, mask: int) -> List[int]:
         """``[row & mask for row in table]`` as plain ints.
 
-        The flat cumulative repository sweep: the repository stays
-        resident (packed once, grown via :meth:`append_rows`), only the
-        per-transaction joints cross the int boundary.
-        """
-        raise NotImplementedError
-
-    def intersect_table(self, table, mask: int, start: int = 0):
-        """``row & mask`` for rows at index >= ``start``, as a new table.
-
-        Table-in/table-out: the result never leaves the packed domain,
-        so a descent that narrows a family repeatedly (Eclat) pays no
-        conversion per level.
-        """
-        raise NotImplementedError
-
-    def intersect_count_table(
-        self, table, mask: int, start: int = 0
-    ) -> Tuple[object, List[int]]:
-        """:meth:`intersect_table` plus the popcount of every result row.
-
-        Returns ``(joint_table, supports)``.
+        The pairwise sweep of the incremental fold and the serving
+        build: one side stays resident, only the joints cross the int
+        boundary.
         """
         raise NotImplementedError
 
     def intersect_count_table_bounded(
         self, table, mask: int, smin: int, start: int = 0
     ) -> Tuple[object, List[int]]:
-        """Early-stopping :meth:`intersect_count_table`.
+        """``row & mask`` and its popcount for rows at index >= ``start``.
 
-        Every result row whose true popcount is below ``smin`` reports
-        support :data:`BELOW_BOUND` and a zeroed joint row; rows at or
-        above ``smin`` are exact and identical to the unbounded call.
+        Returns ``(joint_table, supports)``; the joints stay packed, so a
+        descent that narrows a family repeatedly (Eclat) pays no
+        conversion per level.  Every result row whose true popcount is
+        below ``smin`` reports support :data:`BELOW_BOUND` and a zeroed
+        joint row; rows at or above ``smin`` are exact.
         Backends may abort a row's popcount once the running count plus
         the remaining-word upper bound (``remaining_words * 64``) can no
         longer reach ``smin`` — the early-stopping rule of
@@ -154,44 +125,29 @@ class KernelBackend:
     def intersect_count_many_bounded(
         self, masks: Sequence[int], mask: int, n_bits: int, smin: int
     ) -> Tuple[List[int], List[int]]:
-        """Early-stopping :meth:`intersect_count_many` (mask-list form).
+        """Intersections *and* their popcounts, mask-list form.
 
-        Same sentinel contract as :meth:`intersect_count_table_bounded`:
-        ``(joints, supports)`` with ``joints[i] = 0`` and
+        Returns ``(joints, supports)`` with ``joints[i] = masks[i] & mask``
+        and ``supports[i]`` its popcount — the IsTa level-batched
+        descent.  Same sentinel contract as
+        :meth:`intersect_count_table_bounded`: ``joints[i] = 0`` and
         ``supports[i] = BELOW_BOUND`` whenever the true joint popcount
         is below ``smin``.
-        """
-        raise NotImplementedError
-
-    def intersect_count_rows_bounded(
-        self, table, indices: Sequence[int], mask: int, smin: int
-    ) -> Tuple[List[int], List[int]]:
-        """Early-stopping :meth:`intersect_count_rows`.
-
-        The LCM extension step with ``smin`` pushed down: infrequent
-        extensions report the sentinel instead of a fully-materialised
-        joint.  Same sentinel contract as the other bounded primitives.
         """
         raise NotImplementedError
 
     def superset_max_support_bounded(
         self, table, supports: Sequence[int], mask: int, smin: int
     ) -> int:
-        """:meth:`superset_max_support` restricted to rows with
-        ``supports[i] >= smin``.
+        """Largest ``supports[i] >= smin`` over rows that contain ``mask``.
 
-        Returns 0 when no qualifying row contains ``mask``.  With
-        ``smin <= min(supports)`` this equals the unbounded query; a
-        higher ``smin`` lets the backend skip the containment test for
-        rows that could not answer anyway (the serving point query
-        where only frequent supersets matter).
+        ``supports`` is aligned with the table rows.  Returns 0 when no
+        qualifying row contains ``mask``.  This is the repository
+        support query of the serving layer (support of a set = support
+        of its smallest closed superset) executed against a packed
+        closed family; ``smin`` lets the backend skip the containment
+        test for rows that could not answer anyway.
         """
-        raise NotImplementedError
-
-    # -- scalar helpers --------------------------------------------------
-
-    def popcount(self, mask: int) -> int:
-        """Number of set bits of one mask."""
         raise NotImplementedError
 
     # -- batched primitives ---------------------------------------------
@@ -208,64 +164,12 @@ class KernelBackend:
         """``[m & mask for m in masks]`` as one batch."""
         raise NotImplementedError
 
-    def intersect_count_many(
-        self, masks: Sequence[int], mask: int, n_bits: int
-    ) -> Tuple[List[int], List[int]]:
-        """Intersections *and* their popcounts in one pass.
-
-        Returns ``(joints, supports)`` with ``joints[i] = masks[i] & mask``
-        and ``supports[i]`` its popcount — the shape of the Eclat / CHARM
-        extension step, where every candidate's support is needed anyway.
-        """
-        raise NotImplementedError
-
-    def intersect_count_rows(
-        self, table, indices: Sequence[int], mask: int
-    ) -> Tuple[List[int], List[int]]:
-        """Like :meth:`intersect_count_many`, over selected table rows."""
-        raise NotImplementedError
-
-    def subset_any(self, table, mask: int, start: int = 0) -> bool:
-        """Is ``mask`` a subset of any table row at index >= ``start``?
-
-        The closedness backward check of the Carpenter family.
-        """
-        raise NotImplementedError
-
-    def superset_max_support(self, table, supports: Sequence[int], mask: int) -> int:
-        """Largest ``supports[i]`` over rows that contain ``mask``.
-
-        ``supports`` is aligned with the table rows.  Returns 0 when no
-        row is a superset.  This is the repository support query of the
-        serving layer (support of a set = support of its smallest
-        closed superset) executed against a packed closed family.
-        """
-        raise NotImplementedError
-
-    def intersect_selected(self, table, selector: int) -> int:
-        """AND-reduce the rows whose index bit is set in ``selector``.
-
-        The closure computation: intersect the transactions of a cover.
-        Returns the all-ones mask of the table width when ``selector``
-        is empty (the neutral element over the packed width).
-        """
-        raise NotImplementedError
-
     def column_counts(self, masks: Sequence[int], n_bits: int) -> List[int]:
         """Per-bit occurrence counts over a list of masks.
 
         ``column_counts(transactions, n_items)[i]`` is the support of
         item ``i`` — the remaining-occurrence counter family behind the
-        item-elimination pruning of IsTa and Carpenter.
-        """
-        raise NotImplementedError
-
-    def bound_filter(self, counts, mask: int, threshold: int) -> int:
-        """Bits of ``mask`` whose per-bit count reaches ``threshold``.
-
-        ``counts`` is one row of the Table-1 matrix (a sequence for the
-        pure-int backend, an ``ndarray`` row for numpy); the result is
-        the item-elimination filter of table-based Carpenter as a mask.
+        item-elimination pruning of IsTa and cumulative-flat.
         """
         raise NotImplementedError
 

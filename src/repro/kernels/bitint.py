@@ -17,6 +17,28 @@ from .base import BELOW_BOUND, KernelBackend
 __all__ = ["BitIntBackend", "BitTable"]
 
 
+def intersect_count_bounded(
+    masks: Sequence[int], mask: int, smin: int
+) -> Tuple[List[int], List[int]]:
+    """``(joints, supports)`` of ``masks`` against ``mask`` on plain ints.
+
+    Entries below ``smin`` carry the :data:`BELOW_BOUND` sentinel and a
+    zero joint; shared by every backend's mask-list execution.
+    """
+    joints: List[int] = []
+    supports: List[int] = []
+    for m in masks:
+        joint = m & mask
+        support = _popcount(joint)
+        if support < smin:
+            joints.append(0)
+            supports.append(BELOW_BOUND)
+        else:
+            joints.append(joint)
+            supports.append(support)
+    return joints, supports
+
+
 class BitTable:
     """Packed-table form of the pure-int backend: just the mask list.
 
@@ -49,20 +71,11 @@ class BitIntBackend(KernelBackend):
     def pack(self, masks: Sequence[int], n_bits: int) -> BitTable:
         return BitTable(list(masks), n_bits)
 
-    def unpack(self, table: BitTable) -> List[int]:
-        return list(table.masks)
-
-    def table_len(self, table: BitTable) -> int:
-        return len(table.masks)
-
     # -- resident tables -------------------------------------------------
 
     def append_rows(self, table: BitTable, masks: Sequence[int]) -> None:
         table.masks.extend(masks)
         table.generation += 1
-
-    def table_generation(self, table: BitTable) -> int:
-        return table.generation
 
     def table_row(self, table: BitTable, index: int) -> int:
         return table.masks[index]
@@ -81,65 +94,18 @@ class BitIntBackend(KernelBackend):
     def intersect_rows(self, table: BitTable, mask: int) -> List[int]:
         return [row & mask for row in table.masks]
 
-    def intersect_table(self, table: BitTable, mask: int, start: int = 0) -> BitTable:
-        return BitTable([row & mask for row in table.masks[start:]], table.n_bits)
-
-    def intersect_count_table(
-        self, table: BitTable, mask: int, start: int = 0
-    ) -> Tuple[BitTable, List[int]]:
-        joints = [row & mask for row in table.masks[start:]]
-        return BitTable(joints, table.n_bits), [_popcount(joint) for joint in joints]
-
     def intersect_count_table_bounded(
         self, table: BitTable, mask: int, smin: int, start: int = 0
     ) -> Tuple[BitTable, List[int]]:
         # The big-int AND runs at C speed either way; the reference
         # backend realises only the sentinel contract, not the skip.
-        joints: List[int] = []
-        supports: List[int] = []
-        for row in table.masks[start:]:
-            joint = row & mask
-            support = _popcount(joint)
-            if support < smin:
-                joints.append(0)
-                supports.append(BELOW_BOUND)
-            else:
-                joints.append(joint)
-                supports.append(support)
+        joints, supports = intersect_count_bounded(table.masks[start:], mask, smin)
         return BitTable(joints, table.n_bits), supports
 
     def intersect_count_many_bounded(
         self, masks: Sequence[int], mask: int, n_bits: int, smin: int
     ) -> Tuple[List[int], List[int]]:
-        joints: List[int] = []
-        supports: List[int] = []
-        for m in masks:
-            joint = m & mask
-            support = _popcount(joint)
-            if support < smin:
-                joints.append(0)
-                supports.append(BELOW_BOUND)
-            else:
-                joints.append(joint)
-                supports.append(support)
-        return joints, supports
-
-    def intersect_count_rows_bounded(
-        self, table: BitTable, indices: Sequence[int], mask: int, smin: int
-    ) -> Tuple[List[int], List[int]]:
-        masks = table.masks
-        joints: List[int] = []
-        supports: List[int] = []
-        for index in indices:
-            joint = masks[index] & mask
-            support = _popcount(joint)
-            if support < smin:
-                joints.append(0)
-                supports.append(BELOW_BOUND)
-            else:
-                joints.append(joint)
-                supports.append(support)
-        return joints, supports
+        return intersect_count_bounded(masks, mask, smin)
 
     def superset_max_support_bounded(
         self, table: BitTable, supports: Sequence[int], mask: int, smin: int
@@ -149,11 +115,6 @@ class BitIntBackend(KernelBackend):
             if supp > best and supp >= smin and mask & ~row == 0:
                 best = supp
         return best
-
-    # -- scalar helpers --------------------------------------------------
-
-    def popcount(self, mask: int) -> int:
-        return _popcount(mask)
 
     # -- batched primitives ---------------------------------------------
 
@@ -166,46 +127,6 @@ class BitIntBackend(KernelBackend):
     def intersect_many(self, masks: Sequence[int], mask: int, n_bits: int) -> List[int]:
         return [m & mask for m in masks]
 
-    def intersect_count_many(
-        self, masks: Sequence[int], mask: int, n_bits: int
-    ) -> Tuple[List[int], List[int]]:
-        joints = [m & mask for m in masks]
-        return joints, [_popcount(joint) for joint in joints]
-
-    def intersect_count_rows(
-        self, table: BitTable, indices: Sequence[int], mask: int
-    ) -> Tuple[List[int], List[int]]:
-        masks = table.masks
-        joints = [masks[index] & mask for index in indices]
-        return joints, [_popcount(joint) for joint in joints]
-
-    def subset_any(self, table: BitTable, mask: int, start: int = 0) -> bool:
-        for row in table.masks[start:]:
-            if mask & ~row == 0:
-                return True
-        return False
-
-    def superset_max_support(
-        self, table: BitTable, supports: Sequence[int], mask: int
-    ) -> int:
-        best = 0
-        for row, supp in zip(table.masks, supports):
-            if supp > best and mask & ~row == 0:
-                best = supp
-        return best
-
-    def intersect_selected(self, table: BitTable, selector: int) -> int:
-        result = (1 << table.n_bits) - 1 if table.n_bits else 0
-        masks = table.masks
-        remaining = selector
-        while remaining:
-            low = remaining & -remaining
-            result &= masks[low.bit_length() - 1]
-            if not result:
-                break
-            remaining ^= low
-        return result
-
     def column_counts(self, masks: Sequence[int], n_bits: int) -> List[int]:
         counts = [0] * n_bits
         for mask in masks:
@@ -215,13 +136,3 @@ class BitIntBackend(KernelBackend):
                 counts[low.bit_length() - 1] += 1
                 remaining ^= low
         return counts
-
-    def bound_filter(self, counts, mask: int, threshold: int) -> int:
-        result = 0
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            if counts[low.bit_length() - 1] >= threshold:
-                result |= low
-            remaining ^= low
-        return result

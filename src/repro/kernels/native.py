@@ -1,9 +1,8 @@
 """Native (C extension) kernel backend behind the same ABI.
 
-:class:`NativeBackend` subclasses the numpy backend and re-routes the
-profiled-worst primitives — the resident intersection family
-(``intersect_table``, ``intersect_count_table``,
-``intersect_count_table_bounded``), the serving point query
+:class:`NativeBackend` subclasses the numpy backend and re-routes three
+primitives, each with a production caller — the Eclat descent step
+(``intersect_count_table_bounded``), the serving point query
 (``superset_max_support_bounded``) and ``popcount_rows`` — through
 ``repro.kernels._native``, a small C module built from
 ``src/repro/kernels/_native.c`` (an *optional* setuptools extension:
@@ -19,7 +18,7 @@ back as bytes wrapped into a fresh table.  Everything not listed above
 the numpy/plain-int implementation unchanged — per-primitive best
 implementation, exactly like the numpy backend's own hybrid split.
 
-Why these five win in C even against vectorised numpy: the bench
+Why these three win in C even against vectorised numpy: the bench
 fixture's rows are a few dozen words, so one numpy call spends more on
 dispatch, broadcasting and temporaries (AND matrix, byte-count matrix,
 reduction) than on the actual word loop.  The C loop fuses
@@ -65,32 +64,14 @@ def _wrap_joint(data: bytes, table: PackedTable) -> PackedTable:
 
 
 class NativeBackend(NumpyBackend):
-    """C-loop execution of the resident intersection family."""
+    """C-loop execution of the three hottest table primitives."""
 
     __slots__ = ()
 
     name = "native"
     vectorized = True
 
-    # -- resident intersection family ------------------------------------
-
-    def intersect_table(
-        self, table: PackedTable, mask: int, start: int = 0
-    ) -> PackedTable:
-        rows = table.rows[start:]
-        data = _native.intersect(
-            rows, mask.to_bytes(table.n_words * 8, "little")
-        )
-        return _wrap_joint(data, table)
-
-    def intersect_count_table(
-        self, table: PackedTable, mask: int, start: int = 0
-    ) -> Tuple[PackedTable, List[int]]:
-        rows = table.rows[start:]
-        data, supports = _native.intersect_count(
-            rows, mask.to_bytes(table.n_words * 8, "little")
-        )
-        return _wrap_joint(data, table), supports
+    # -- resident tables ---------------------------------------------------
 
     def intersect_count_table_bounded(
         self, table: PackedTable, mask: int, smin: int, start: int = 0

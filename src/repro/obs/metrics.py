@@ -21,6 +21,7 @@ per-worker aggregation of :func:`repro.parallel.mine_parallel` exact.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -148,11 +149,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # First bound >= value (``le`` semantics); past the last: +Inf.
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated ``q``-quantile from the cumulative buckets.

@@ -216,7 +216,6 @@ def _verify_candidates(
     db: TransactionDatabase,
     masks: Sequence[int],
     smin: int,
-    kernel,
     require_closed: bool,
 ) -> Dict[int, int]:
     """Re-derive every candidate against the full database.
@@ -227,9 +226,6 @@ def _verify_candidates(
     the serial result: candidates are evidence, not answers.
     """
     supports: Dict[int, int] = {}
-    trans_table = (
-        kernel.pack(db.transactions, db.n_items) if kernel.vectorized else None
-    )
     for mask in masks:
         if not mask:
             continue
@@ -238,15 +234,12 @@ def _verify_candidates(
         if support < smin:
             continue
         if require_closed:
-            if trans_table is not None:
-                closure = kernel.intersect_selected(trans_table, cover)
-            else:
-                closure = -1
-                remaining = cover
-                while remaining:
-                    low = remaining & -remaining
-                    closure &= db.transactions[low.bit_length() - 1]
-                    remaining ^= low
+            closure = -1
+            remaining = cover
+            while remaining:
+                low = remaining & -remaining
+                closure &= db.transactions[low.bit_length() - 1]
+                remaining ^= low
             if closure != mask:
                 continue
         supports[mask] = support
@@ -373,7 +366,7 @@ def mine_parallel(
             for mask, _ in outcome.pairs:
                 candidates[mask] = None
         supports = _verify_candidates(
-            db, list(candidates), smin, obs.wrap_kernel(kernel), require_closed=True
+            db, list(candidates), smin, require_closed=True
         )
 
     result = MiningResult(supports, db.item_labels, f"{algorithm}+parallel", smin)

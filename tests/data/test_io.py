@@ -68,6 +68,34 @@ class TestFimiRoundtrip:
         db = TransactionDatabase([], 0)
         assert format_fimi(db) == ""
 
+    def test_tuple_labels_stay_one_item(self):
+        from repro.datasets.gene_expression import yeast_compendium
+
+        db = yeast_compendium(n_genes=40, n_conditions=12, seed=1)
+        assert isinstance(db.item_labels[0], tuple)
+        again = parse_fimi(format_fimi(db))
+        # FIMI text carries only the items that occur somewhere.
+        occurring = {
+            "".join(label): support
+            for label, support in zip(db.item_labels, db.item_supports())
+            if support
+        }
+        assert again.n_transactions == db.n_transactions
+        assert again.n_items == len(occurring) > 1
+        assert dict(zip(again.item_labels, again.item_supports())) == occurring
+
+    def test_label_with_whitespace_rejected(self):
+        db = TransactionDatabase.from_iterable([["a b"]], item_order=["a b"])
+        with pytest.raises(ValueError, match="whitespace-free"):
+            format_fimi(db)
+
+    def test_colliding_tokens_rejected(self):
+        db = TransactionDatabase.from_iterable(
+            [[("g4", "8+"), ("g48", "+")]], item_order=[("g4", "8+"), ("g48", "+")]
+        )
+        with pytest.raises(ValueError, match="share"):
+            format_fimi(db)
+
 
 class TestExpressionMatrixIO:
     def test_roundtrip(self, tmp_path):

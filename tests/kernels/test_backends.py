@@ -132,21 +132,30 @@ def _clip(masks, n_bits):
     return [m & limit for m in masks]
 
 
+def _rows(kernel, table):
+    return [kernel.table_row(table, index) for index in range(len(table))]
+
+
 class TestPrimitiveParity:
     """Every backend must compute exactly what the bitint reference does."""
 
-    @given(masks=masks_strategy, probe=st.integers(min_value=0), n_bits=st.integers(1, 200))
+    @given(
+        masks=masks_strategy,
+        probe=st.integers(min_value=0),
+        n_bits=st.integers(1, 200),
+        smin=st.integers(0, 40),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_intersect_family(self, masks, probe, n_bits):
+    def test_intersect_family(self, masks, probe, n_bits, smin):
         masks, probe = _clip(masks, n_bits), probe & ((1 << n_bits) - 1)
         ref = get_backend("bitint")
         for kernel in BACKENDS:
             assert kernel.intersect_many(masks, probe, n_bits) == ref.intersect_many(
                 masks, probe, n_bits
             )
-            assert kernel.intersect_count_many(
-                masks, probe, n_bits
-            ) == ref.intersect_count_many(masks, probe, n_bits)
+            assert kernel.intersect_count_many_bounded(
+                masks, probe, n_bits, smin
+            ) == ref.intersect_count_many_bounded(masks, probe, n_bits, smin)
             assert kernel.popcount_many(masks) == ref.popcount_many(masks)
 
     @given(masks=masks_strategy, n_bits=st.integers(1, 200), data=st.data())
@@ -155,9 +164,9 @@ class TestPrimitiveParity:
         masks = _clip(masks, n_bits)
         ref = get_backend("bitint")
         ref_table = ref.pack(masks, n_bits)
-        selector = data.draw(st.integers(0, (1 << len(masks)) - 1)) if masks else 0
         needle = data.draw(st.integers(0, (1 << n_bits) - 1))
         start = data.draw(st.integers(0, len(masks)))
+        smin = data.draw(st.integers(0, n_bits))
         indices = (
             data.draw(st.lists(st.integers(0, len(masks) - 1), max_size=6))
             if masks
@@ -165,18 +174,27 @@ class TestPrimitiveParity:
         )
         for kernel in BACKENDS:
             table = kernel.pack(masks, n_bits)
-            assert kernel.unpack(table) == masks
-            assert kernel.table_len(table) == len(masks)
+            assert _rows(kernel, table) == masks
+            assert len(table) == len(masks)
             assert kernel.popcount_rows(table) == ref.popcount_rows(ref_table)
-            assert kernel.subset_any(table, needle, start) == ref.subset_any(
-                ref_table, needle, start
+            assert kernel.intersect_rows(table, needle) == ref.intersect_rows(
+                ref_table, needle
             )
-            assert kernel.intersect_selected(table, selector) == ref.intersect_selected(
-                ref_table, selector
+            assert kernel.superset_rows(table, needle) == ref.superset_rows(
+                ref_table, needle
             )
-            assert kernel.intersect_count_rows(
-                table, indices, needle
-            ) == ref.intersect_count_rows(ref_table, indices, needle)
+            selected = kernel.select_rows(table, indices)
+            assert _rows(kernel, selected) == [masks[i] for i in indices]
+            joint, supports = kernel.intersect_count_table_bounded(
+                table, needle, smin, start
+            )
+            ref_joint, ref_supports = ref.intersect_count_table_bounded(
+                ref_table, needle, smin, start
+            )
+            assert (_rows(kernel, joint), supports) == (
+                _rows(ref, ref_joint),
+                ref_supports,
+            )
 
     @given(masks=masks_strategy, n_bits=st.integers(1, 200), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -194,28 +212,30 @@ class TestPrimitiveParity:
         )
         for kernel in BACKENDS:
             table = kernel.pack(masks, n_bits)
-            assert kernel.superset_max_support(table, supports, needle) == expected
+            assert (
+                kernel.superset_max_support_bounded(table, supports, needle, 1)
+                == expected
+            )
 
-    @given(masks=masks_strategy, n_bits=st.integers(1, 200), data=st.data())
+    @given(masks=masks_strategy, n_bits=st.integers(1, 200))
     @settings(max_examples=60, deadline=None)
-    def test_column_primitives(self, masks, n_bits, data):
+    def test_column_primitives(self, masks, n_bits):
         masks = _clip(masks, n_bits)
-        ref = get_backend("bitint")
-        counts = ref.column_counts(masks, n_bits)
-        threshold = data.draw(st.integers(0, len(masks) + 1))
-        mask = data.draw(st.integers(0, (1 << n_bits) - 1))
+        counts = get_backend("bitint").column_counts(masks, n_bits)
+        assert counts == [
+            sum(1 for m in masks if m >> bit & 1) for bit in range(n_bits)
+        ]
         for kernel in BACKENDS:
             assert kernel.column_counts(masks, n_bits) == counts
-            assert kernel.bound_filter(counts, mask, threshold) == ref.bound_filter(
-                counts, mask, threshold
-            )
 
     def test_empty_table(self):
         for kernel in BACKENDS:
             table = kernel.pack([], 65)
-            assert kernel.table_len(table) == 0
+            assert len(table) == 0
             assert kernel.popcount_rows(table) == []
-            assert not kernel.subset_any(table, 1)
+            assert kernel.superset_rows(table, 1) == []
+            assert kernel.intersect_rows(table, 1) == []
+            assert kernel.superset_max_support_bounded(table, [], 1, 1) == 0
             assert kernel.column_counts([], 65) == [0] * 65
 
 

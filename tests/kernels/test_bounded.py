@@ -43,6 +43,11 @@ def mask_workloads(draw):
     return masks, probe, n_bits, smin
 
 
+def rows_of(kernel, table):
+    """A table's rows as plain ints, read through the public ABI."""
+    return [kernel.table_row(table, index) for index in range(len(table))]
+
+
 def reference_bounded(masks, probe, smin):
     """The contract, computed the obvious way: exact supports, then
     sentinel any entry strictly below a positive ``smin``."""
@@ -69,14 +74,22 @@ class TestBoundedContract:
     @settings(max_examples=60, deadline=None)
     def test_untriggered_bound_equals_unbounded(self, kernel, workload):
         masks, probe, n_bits, _ = workload
-        joints, supports = kernel.intersect_count_many(masks, probe, n_bits)
+        joints, supports = reference_bounded(masks, probe, 0)
         # smin=0 disables the bound entirely; smin at the floor of the
-        # true supports never fires the sentinel.  Both must be
-        # byte-identical to the unbounded call.
+        # true supports never fires the sentinel.  Both forms must then
+        # return the exact, unbounded intersections and supports.
         for smin in (0, min(supports, default=0)):
             got = kernel.intersect_count_many_bounded(masks, probe, n_bits, smin)
-            assert list(got[0]) == list(joints)
-            assert list(got[1]) == list(supports)
+            assert list(got[0]) == joints
+            assert list(got[1]) == supports
+            table = kernel.pack(masks, n_bits)
+            joint, got_supports = kernel.intersect_count_table_bounded(
+                table, probe, smin
+            )
+            assert (rows_of(kernel, joint), list(got_supports)) == (
+                joints,
+                supports,
+            )
 
     @pytest.mark.parametrize("kernel", backend_kernel_params())
     @given(workload=mask_workloads())
@@ -86,7 +99,7 @@ class TestBoundedContract:
         table = kernel.pack(masks, n_bits)
         joints, supports = kernel.intersect_count_table_bounded(table, probe, smin)
         # The table form hands back a packed joint table, not a list.
-        assert (kernel.unpack(joints), list(supports)) == reference_bounded(
+        assert (rows_of(kernel, joints), list(supports)) == reference_bounded(
             masks, probe, smin
         )
 
@@ -104,11 +117,13 @@ class TestBoundedContract:
             if masks
             else st.just([])
         )
-        joints, supports = kernel.intersect_count_rows_bounded(
-            table, indices, probe, smin
+        # The Eclat composition: gather a sibling subset, then narrow it.
+        subset = kernel.select_rows(table, indices)
+        joints, supports = kernel.intersect_count_table_bounded(
+            subset, probe, smin
         )
         expected = reference_bounded([masks[i] for i in indices], probe, smin)
-        assert (list(joints), list(supports)) == expected
+        assert (rows_of(kernel, joints), list(supports)) == expected
 
     @given(workload=mask_workloads())
     @settings(max_examples=60, deadline=None)
@@ -129,17 +144,14 @@ class TestBoundedContract:
                     ),
                     (
                         lambda pair: (
-                            tuple(kernel.unpack(pair[0])),
+                            tuple(rows_of(kernel, pair[0])),
                             tuple(pair[1]),
                         )
                     )(kernel.intersect_count_table_bounded(table, probe, smin)),
                     tuple(
-                        map(
-                            tuple,
-                            kernel.intersect_count_rows_bounded(
-                                table, range(len(masks)), probe, smin
-                            ),
-                        )
+                        kernel.intersect_count_table_bounded(
+                            table, probe, smin, start=len(masks) // 2
+                        )[1]
                     ),
                 )
             )
@@ -197,9 +209,13 @@ class TestSupersetMaxSupportBounded:
         rows, supports, needle, n_bits, _ = workload
         positive = [max(1, s) for s in supports]
         table = kernel.pack(rows, n_bits)
-        assert kernel.superset_max_support_bounded(
-            table, positive, needle, 1
-        ) == kernel.superset_max_support(table, positive, needle)
+        unbounded = max(
+            (s for row, s in zip(rows, positive) if needle & ~row == 0), default=0
+        )
+        assert (
+            kernel.superset_max_support_bounded(table, positive, needle, 1)
+            == unbounded
+        )
 
 
 class TestResidentTables:
@@ -210,15 +226,15 @@ class TestResidentTables:
         views = []
         for kernel in BACKENDS:
             table = kernel.pack(masks[: len(masks) // 2], n_bits)
-            before = kernel.table_generation(table)
+            before = table.generation
             kernel.append_rows(table, masks[len(masks) // 2 :])
             if masks[len(masks) // 2 :]:
-                assert kernel.table_generation(table) > before
-            assert kernel.table_len(table) == len(masks)
+                assert table.generation > before
+            assert len(table) == len(masks)
             views.append(
                 (
-                    kernel.unpack(table),
-                    [kernel.table_row(table, i) for i in range(len(masks))],
+                    rows_of(kernel, table),
+                    kernel.popcount_rows(table),
                     kernel.intersect_rows(table, probe),
                     kernel.superset_rows(table, probe),
                 )
@@ -240,9 +256,9 @@ class TestResidentTables:
             # Force the vectorised backend through its rows-resident
             # form before selecting — selection must not depend on
             # which residency the table happens to be in.
-            kernel.intersect_table(table, probe)
+            kernel.popcount_rows(table)
             selected = kernel.select_rows(table, indices)
-            views.append(kernel.unpack(selected))
+            views.append(rows_of(kernel, selected))
         assert all(v == views[0] for v in views[1:])
         assert views[0] == [masks[i] for i in indices]
 
@@ -256,7 +272,7 @@ class TestSingleResidency:
     def test_materialisation_drops_int_form(self):
         table = self.kernel.pack([3, 5, 7], 8)
         assert table._ints is not None
-        self.kernel.intersect_table(table, 6)  # first vectorised use
+        self.kernel.popcount_rows(table)  # first vectorised use
         assert table._ints is None
 
     def test_append_keeps_exactly_one_form(self):
@@ -264,18 +280,18 @@ class TestSingleResidency:
         self.kernel.append_rows(table, [4])
         # Int-backed append stays int-backed: no packed array exists.
         assert table._ints is not None and table._rows is None
-        self.kernel.intersect_table(table, 7)
+        self.kernel.popcount_rows(table)
         self.kernel.append_rows(table, [8, 16])
         # Rows-backed append stays rows-backed: no big-int list returns.
         assert table._ints is None and table._rows is not None
-        assert self.kernel.unpack(table) == [1, 2, 4, 8, 16]
+        assert rows_of(self.kernel, table) == [1, 2, 4, 8, 16]
 
     def test_append_path_peak_memory_is_single_form(self):
         n_bits = 4096
         row_bytes = n_bits // 8
         base = [(1 << n_bits) - 1] * 64
         table = self.kernel.pack(base, n_bits)
-        self.kernel.intersect_table(table, 1)  # rows-resident now
+        self.kernel.popcount_rows(table)  # rows-resident now
         batch = [(1 << n_bits) - 1] * 512
         tracemalloc.start()
         try:
@@ -296,6 +312,6 @@ class TestSingleResidency:
 def test_packedtable_from_rows_is_rows_resident():
     kernel = get_backend("numpy")
     table = kernel.pack([9, 12], 8)
-    joint = kernel.intersect_table(table, 13)
+    joint, _ = kernel.intersect_count_table_bounded(table, 13, 0)
     assert isinstance(joint, PackedTable)
     assert joint._ints is None
