@@ -276,9 +276,8 @@ class TestCaseFloors:
         assert not compare_kernel_baselines(baseline, fresh)
 
     def test_floor_on_derived_case_survives_restriction(self):
-        # A derived case (e.g. the intersection family) is present in a
-        # restricted fresh run even though its name is not in the
-        # case_filter — the floor must still bind.
+        # A case present in a restricted fresh run even though its
+        # name is not in the case_filter — the floor must still bind.
         baseline = self.record(family={"native": 4.0})
         baseline["floors"] = {"family@native": 3.0}
         fresh = self.record(family={"native": 2.0})
