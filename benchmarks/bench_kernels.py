@@ -47,15 +47,7 @@ speedup ratios, which survive machine changes; ``--mode seconds``
 gates on absolute per-case times and is only meaningful on the machine
 that recorded the baseline.
 
-Besides the synthetic dense fixture, the suite times one end-to-end
-case, ``ista_descent``: IsTa's prefix-tree repository built over the
-yeast gate fixture (``benchmarks/fixtures/yeast_gate.fimi`` at
-``smin=5``).  Its ``bitint`` row is the node-at-a-time *recursive*
-descent and the other backend rows run the level-batched bounded
-descent, so the ``speedup:`` ratios measure batched-over-recursive —
-the gate that keeps the batched restructuring an actual win.
-
-Every other case is named after the one kernel primitive it times.
+Every case is named after the one kernel primitive it times.
 """
 
 from __future__ import annotations
@@ -247,26 +239,6 @@ def parse_case_floors(specs, flag="--require-case") -> dict:
     return floors
 
 
-def descent_fixture_masks() -> list:
-    """Prepared yeast transactions for the ``ista_descent`` case.
-
-    The same fixture and threshold as the observability invariants gate
-    (``benchmarks/fixtures/yeast_gate.fimi`` at ``smin=5``), recoded
-    and ordered exactly as :func:`repro.core.ista.mine_ista` would feed
-    them to the repository — so the timed descent matches the mining
-    hot loop, not an arbitrary mask stream.
-    """
-    import os
-
-    from repro.common import prepare_for_mining
-    from repro.data.io import read_fimi
-
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "yeast_gate.fimi")
-    db = read_fimi(path)
-    prepared, _ = prepare_for_mining(db, 5)
-    return list(prepared.transactions)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.compare and args.floor:
@@ -284,8 +256,6 @@ def main(argv=None) -> int:
     cases = None
     if args.quick and case_floors:
         cases = sorted({spec.partition("@")[0] for spec in case_floors})
-    need_descent = cases is None or "ista_descent" in cases
-    descent_masks = descent_fixture_masks() if need_descent else None
     try:
         fresh = merge_runs(
             [
@@ -295,7 +265,6 @@ def main(argv=None) -> int:
                     density=args.density,
                     repeats=repeats,
                     cases=cases,
-                    descent_masks=descent_masks,
                 )
                 for _ in range(args.runs)
             ]

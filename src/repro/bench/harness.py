@@ -432,7 +432,6 @@ def run_kernel_microbench(
     repeats: int = 3,
     backends: Optional[Sequence[str]] = None,
     cases: Optional[Sequence[str]] = None,
-    descent_masks: Optional[Sequence[int]] = None,
 ) -> Dict:
     """Time the batched kernel primitives on a dense wide fixture.
 
@@ -449,12 +448,7 @@ def run_kernel_microbench(
     ``cases`` restricts timing to the named cases (unknown names raise
     ``ValueError``); the result then carries the restriction under
     ``"case_filter"`` so the baseline comparison knows the other cases
-    were deliberately not run.  ``descent_masks`` (a prepared
-    transaction stream, e.g. the yeast fig-5 workload) enables the
-    ``ista_descent`` case: the ``"bitint"`` row times the node-at-a-time
-    recursive prefix-tree update, every other backend row times the
-    level-batched bounded descent with that backend — so the
-    ``speedup:`` ratios read "batched descent over recursive baseline".
+    were deliberately not run.
     """
     names = list(backends) if backends is not None else available_backends()
     masks = _dense_fixture(n_rows, n_bits, density, seed)
@@ -498,7 +492,7 @@ def run_kernel_microbench(
 
     case_filter = list(cases) if cases is not None else None
     if case_filter is not None:
-        known = set(cases_for(get_backend(names[0]))) | {"ista_descent"}
+        known = set(cases_for(get_backend(names[0])))
         unknown = sorted(set(case_filter) - known)
         if unknown:
             raise ValueError(
@@ -531,34 +525,6 @@ def run_kernel_microbench(
             for metric_name, value in registry.snapshot()["counters"].items()
             if value
         }
-
-    if descent_masks is not None and (
-        case_filter is None or "ista_descent" in case_filter
-    ):
-        # The IsTa repository-update workload: recursive node-at-a-time
-        # descent as the "bitint" reference row, level-batched bounded
-        # descent (per backend) for the others — the ratio is the
-        # batched descent's win over the pre-existing baseline.
-        from ..core.prefix_tree import PrefixTree
-
-        stream = list(descent_masks)
-
-        def time_descent(batched, kernel):
-            def call():
-                tree = PrefixTree(kernel=kernel, batched=batched)
-                for tx_mask in stream:
-                    tree.add_transaction(tx_mask)
-
-            return _time_call(call, repeats)
-
-        descent_row: Dict[str, float] = {}
-        for name in names:
-            kernel = get_backend(name)
-            if name == "bitint":
-                descent_row[name] = time_descent(False, kernel)
-            else:
-                descent_row[name] = time_descent(True, kernel)
-        cases["ista_descent"] = descent_row
 
     for case, timings in cases.items():
         reference = timings.get("bitint")

@@ -115,9 +115,7 @@ class IncrementalMiner:
         self._kernel = self._obs.wrap_kernel(resolve_backend(backend))
         self._check = checker(guard, self.counters)
         # Repository representations; at least one is always present.
-        self._tree: Optional[PrefixTree] = PrefixTree(
-            self.counters, kernel=self._kernel
-        )
+        self._tree: Optional[PrefixTree] = PrefixTree(self.counters)
         self._flat: Optional[Dict[int, int]] = None
         self._pending = None  # lazy snapshot records (repro.serving)
         self._label_to_code: Dict[Hashable, int] = {}
@@ -371,7 +369,6 @@ class IncrementalMiner:
                         iter(self._flat.items()),
                         self.counters,
                         step=self._n_transactions,
-                        kernel=self._kernel,
                     )
                 else:
                     pending = self._pending

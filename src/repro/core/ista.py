@@ -49,7 +49,6 @@ def mine_ista(
     prune: bool = True,
     prune_interval: int = 4,
     dedup: bool = False,
-    batched: bool = True,
     counters: Optional[OperationCounters] = None,
     guard: Optional[RunGuard] = None,
     backend=None,
@@ -78,14 +77,6 @@ def mine_ista(
         Off by default: the result is identical either way, but the
         per-transaction operation counts differ, and databases without
         duplicates pay a small grouping cost for nothing.
-    batched:
-        Run the repository intersection as the level-batched bounded
-        descent (the default): each tree level is tested against the
-        transaction in one ``intersect_count_many_bounded`` kernel call
-        and sentinel-flagged subtrees are skipped wholesale.
-        ``batched=False`` keeps the node-at-a-time recursion of the C
-        original; the mined family is byte-identical either way (see
-        :mod:`repro.core.prefix_tree`).
     counters:
         Optional :class:`~repro.stats.OperationCounters` to fill in.
     guard:
@@ -96,11 +87,11 @@ def mine_ista(
         in the *full* database survive, with exact supports) and
         attached to the exception as an anytime result.
     backend:
-        Set-algebra kernel selection (:mod:`repro.kernels`).  The
-        backend executes the per-level bounded frontier test of the
-        batched descent (sentinel skips are surfaced as
-        ``ops.kernel.early_aborts`` when a probe is attached) and the
-        remaining-occurrence sweep that seeds the pruning counters.
+        Set-algebra kernel selection (:mod:`repro.kernels`).  IsTa's
+        one kernel call is the ``column_counts`` sweep that seeds the
+        pruning counters; the repository update itself is pure Python
+        (:class:`~repro.core.prefix_tree.PrefixTree`), so the backend
+        does not change the per-transaction work.
     probe:
         Optional :class:`repro.obs.Probe` for metrics and phase traces
         (``None``, the default, adds no instrumentation).
@@ -120,7 +111,7 @@ def mine_ista(
         )
     if prune and prune_interval < 1:
         raise ValueError(f"prune_interval must be positive, got {prune_interval}")
-    tree = PrefixTree(counters, guard, kernel=kernel, batched=batched)
+    tree = PrefixTree(counters, guard)
     check = checker(guard, tree.counters)
     transactions = prepared.transactions
     n = len(transactions)
@@ -241,7 +232,7 @@ def _merge_nodes(target: PrefixTreeNode, source: PrefixTreeNode, tree: PrefixTre
             into.step = from_.step
         # Keep the subtree-item summary a superset of the merged
         # subtree; splice ancestors retain stale bits, which only ever
-        # costs a missed batched-descent skip, never a wrong one.
+        # costs a missed subtree skip, never a wrong one.
         into.below |= from_.below
         for grandchild in from_.children.values():
             existing = into.children.get(grandchild.item)

@@ -14,48 +14,29 @@ behaviour:
 * children are held in a dict keyed by item instead of an ordered
   sibling list — Python dicts give O(1) find-or-insert, which plays the
   role of the C code's ordered sibling scan;
-* the intersection pass runs, by default, as a *level-batched bounded
-  descent*: each tree level's frontier is tested against the
-  transaction in one ``intersect_count_many_bounded`` kernel call over
-  the nodes' subtree-item summaries, and subtrees whose summary is
-  disjoint from the transaction are skipped wholesale via the
-  ``BELOW_BOUND`` sentinel (``batched=False`` keeps the node-at-a-time
-  recursion of the C original — the differential baseline);
+* every node carries ``below``, the union of the items in its subtree,
+  and the intersection recursion does not descend into a subtree whose
+  ``below`` is disjoint from the transaction (no path through it can
+  contribute an intersection member or an insertion position — the
+  early-stopping idea of arXiv:1901.07773 as one big-int AND per node);
 * the ``step`` update flag works exactly as in Figure 2: it marks nodes
   whose support was already raised by the current transaction so that
   the maximum over all generating intersections is taken, without ever
   having to clear flags.
 
-Why the two descents produce byte-identical trees: (a) a node is read
-as an intersection *source* at most once per transaction, and the
-step-flag merge rule (subtract the provisional contribution,
-re-maximise, re-add) is idempotent in the iteration order, so supports
-do not depend on whether siblings are processed depth- or
-breadth-first; (b) insertion positions always sit at a strictly
-smaller depth than the sources of the same level, so a level's child
-enumerations are never mutated mid-level and the breadth-first frontier
-sees exactly the snapshot the recursion sees; (c) the sentinel skip
-only removes subtrees whose every path is disjoint from the
-transaction — nodes that can contribute neither an intersection member
-nor a descent.
+The tree is pure Python and makes no kernel calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..data import itemset
-from ..kernels import BELOW_BOUND, resolve_backend
 from ..runtime import RunGuard, checker
 from ..stats import OperationCounters
 
 __all__ = ["PrefixTreeNode", "PrefixTree"]
-
-#: Stand-in flag stream once adaptive frontier testing has switched off:
-#: every frame reads as a pass, no per-level list is materialised.
-_ALWAYS_PASS = itertools.repeat(0)
 
 
 class PrefixTreeNode:
@@ -98,37 +79,24 @@ class PrefixTree:
         "_n_nodes",
         "_depth_bound",
         "_n_bits",
-        "_kernel",
-        "_batched",
         "counters",
         "_check",
-        "_guarded",
     )
 
     def __init__(
         self,
         counters: Optional[OperationCounters] = None,
         guard: Optional[RunGuard] = None,
-        kernel=None,
-        batched: bool = True,
     ) -> None:
         self._root = PrefixTreeNode(item=-1)
         self._step = 0
         self._n_nodes = 0
         self._depth_bound = 0
         self._n_bits = 0
-        # Kernel executing the per-level bounded frontier test; resolved
-        # lazily (environment/default) on first use when not supplied so
-        # plain tree construction stays free of backend concerns.
-        self._kernel = kernel
-        self._batched = batched
         self.counters = counters if counters is not None else OperationCounters()
         # Guard poll, stride-sampled inside the guard; a no-op callable
         # when no guard is active so the hot loop stays branch-free.
-        # The batched descent additionally keys its per-row polling on
-        # ``_guarded`` so the unguarded hot path pays nothing at all.
         self._check = checker(guard, self.counters)
-        self._guarded = guard is not None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -296,10 +264,7 @@ class PrefixTree:
         if self._depth_bound + 200 > sys.getrecursionlimit():
             sys.setrecursionlimit(self._depth_bound + 1200)
         self._insert_path(mask)
-        if self._batched:
-            self._intersect_batched(mask, weight)
-        else:
-            self._intersect(mask, weight)
+        self._intersect(mask, weight)
         self.counters.observe_repository_size(self._n_nodes)
 
     def _insert_path(self, mask: int) -> None:
@@ -329,6 +294,12 @@ class PrefixTree:
         recursion safe once the recursion limit is raised (the caller's
         responsibility, see :meth:`add_transaction`).
 
+        One addition to Figure 2: a node whose ``below`` summary is
+        disjoint from ``mask`` is not descended into.  Every path
+        through it misses the transaction, so its subtree can yield
+        neither an intersection member nor an insertion position.  The
+        test is one big-int AND per internal node not in ``mask``.
+
         Mutation-safety note: a sibling family is only ever mutated
         while it is the *insertion position* of some frame, and the
         insertion chain consists exactly of the nodes whose whole path
@@ -341,6 +312,15 @@ class PrefixTree:
         imin = (mask & -mask).bit_length() - 1
         counters = self.counters
         check = self._check
+        # Per-transaction membership table: a C-speed subscript per
+        # visited node instead of ``mask >> item & 1``, which allocates
+        # a fresh multi-word temporary on wide masks.
+        in_mask = bytearray(self._n_bits)
+        rem = mask
+        while rem:
+            low = rem & -rem
+            in_mask[low.bit_length() - 1] = 1
+            rem ^= low
         # Hot loop: operation counts are accumulated in a mutable cell
         # and flushed once per transaction (per-node attribute
         # increments would dominate the Python runtime).
@@ -355,7 +335,7 @@ class PrefixTree:
                     # Nothing in this subtree can contribute: all items
                     # below are < imin, hence not in mask.
                     continue
-                if mask >> item & 1:
+                if in_mask[item]:
                     # Item in the intersection: find or create the node
                     # for the extended set under the insertion position.
                     stats[1] += 1
@@ -382,9 +362,10 @@ class PrefixTree:
                             isect(list(node.children.values()), existing)
                         else:
                             isect(node.children.values(), existing)
-                elif item > imin and node.children:
+                elif item > imin and node.children and node.below & mask:
                     # Item not in the transaction: descend with the
-                    # insertion position unchanged.
+                    # insertion position unchanged — unless no item of
+                    # the subtree is in the transaction.
                     isect(node.children.values(), target)
 
         root = self._root
@@ -398,174 +379,6 @@ class PrefixTree:
             counters.intersections += stats[1]
             counters.nodes_created += stats[2]
             counters.support_updates += stats[3]
-
-    def _intersect_batched(self, mask: int, weight: int = 1) -> None:
-        """Level-batched bounded form of :meth:`_intersect`.
-
-        Processes the tree breadth-first.  Each level's frontier is
-        tested against the transaction in *one* bounded kernel call over
-        the nodes' ``below`` summaries with the only sound pushed-down
-        bound, 1: a sentinel answer proves the node's entire subtree
-        shares no item with the transaction, so neither an intersection
-        member nor a useful descent can come out of it and the subtree
-        is skipped wholesale.  (A support-based bound would be unsound
-        here — infrequent nodes still feed the maximum rule of later
-        transactions' intersections.)  The per-node merge logic is the
-        Figure 2 rule, verbatim; see the module docstring for why the
-        result is byte-identical to the recursion.
-
-        Snapshot safety without copying: a frame's insertion position is
-        always strictly shallower than its source (``existing`` for the
-        next level is one deeper than ``target``, and sources one deeper
-        than that), so insertions during a level never mutate a child
-        dict that the same level enumerates — the breadth-first order
-        separates readers and writers by depth.
-        """
-        step = self._step
-        imin = (mask & -mask).bit_length() - 1
-        counters = self.counters
-        row_check = self._check if self._guarded else None
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = resolve_backend(None)
-        n_bits = self._n_bits
-        bounded = kernel.intersect_count_many_bounded
-        # Per-transaction membership table: a C-speed subscript per
-        # visited node instead of a big-int shift (``mask >> item & 1``
-        # allocates a fresh multi-word temporary on wide masks).
-        in_mask = bytearray(n_bits)
-        rem = mask
-        while rem:
-            low = rem & -rem
-            in_mask[low.bit_length() - 1] = 1
-            rem ^= low
-        visits = isects = created = updates = 0
-
-        def merge(node, target):
-            # Figure 2 find-or-create + step-flag maximum rule.
-            nonlocal created, updates
-            item = node.item
-            existing = target.children.get(item)
-            if existing is None:
-                existing = PrefixTreeNode(item, node.supp + weight, step, target)
-                target.children[item] = existing
-                created += 1
-                bit = 1 << item
-                ancestor = target
-                while ancestor is not None and not ancestor.below & bit:
-                    ancestor.below |= bit
-                    ancestor = ancestor.parent
-            else:
-                if existing.step == step:
-                    existing.supp -= weight
-                if existing.supp < node.supp:
-                    existing.supp = node.supp
-                existing.supp += weight
-                existing.step = step
-                updates += 1
-            return existing
-
-        def classify(children, target, sources, targets, belows):
-            # Triage one child family: leaves are merged inline (their
-            # whole subtree is their own item — no frontier test or
-            # descent needed), internal subtrees join the next level's
-            # bounded frontier, children below ``imin`` are dropped (the
-            # recursion's ``item < imin`` test, applied at enqueue).
-            nonlocal visits, isects
-            for child in children:
-                visits += 1
-                item = child.item
-                if item < imin:
-                    continue
-                if child.children:
-                    sources.append(child)
-                    targets.append(target)
-                    belows.append(child.below)
-                elif in_mask[item]:
-                    isects += 1
-                    merge(child, target)
-
-        root = self._root
-        sources: list = []
-        targets: list = []
-        belows: list = []
-        # Adaptive frontier testing: small levels are always tested (the
-        # call is cheap and may catch late skips), large levels keep
-        # being tested only while the previous large level yielded at
-        # least 1/8 sentinels — once a wide frontier stops paying, the
-        # rest of this transaction's descent runs untested (processing a
-        # disjoint subtree is a no-op, so the output is unaffected).
-        testing = True
-        try:
-            # Inline leaf merges insert into the family being walked
-            # when the target is the enumerated node itself (the root
-            # here, self-descents below) — snapshot exactly those, as
-            # the recursion does.
-            classify(list(root.children.values()), root, sources, targets, belows)
-            while sources:
-                if testing:
-                    _, flags = bounded(belows, mask, n_bits, 1)
-                    if len(flags) > 256 and flags.count(BELOW_BOUND) * 8 < len(flags):
-                        testing = False
-                else:
-                    flags = _ALWAYS_PASS
-                next_sources: list = []
-                next_targets: list = []
-                next_belows: list = []
-                # Guard poll per frontier row, not per level: a level
-                # can span an arbitrary slice of the tree, and the
-                # interruption contract (docs/robustness.md) promises
-                # responsiveness proportional to nodes processed — the
-                # same granularity the recursive descent's per-group
-                # poll gives.  Sentinel-skipped rows still poll (the
-                # skip is work the guard should account), but only a
-                # guarded tree pays the per-row call at all.
-                for node, target, flag in zip(sources, targets, flags):
-                    if row_check is not None:
-                        row_check()
-                    if flag < 0:
-                        # Sentinel: the node's entire subtree is
-                        # disjoint from the transaction — skip it
-                        # wholesale.
-                        continue
-                    item = node.item
-                    if in_mask[item]:
-                        isects += 1
-                        existing = merge(node, target)
-                        if item > imin:
-                            if existing is node:
-                                classify(
-                                    list(node.children.values()),
-                                    existing,
-                                    next_sources,
-                                    next_targets,
-                                    next_belows,
-                                )
-                            else:
-                                classify(
-                                    node.children.values(),
-                                    existing,
-                                    next_sources,
-                                    next_targets,
-                                    next_belows,
-                                )
-                    elif item > imin:
-                        classify(
-                            node.children.values(),
-                            target,
-                            next_sources,
-                            next_targets,
-                            next_belows,
-                        )
-                sources = next_sources
-                targets = next_targets
-                belows = next_belows
-        finally:
-            self._n_nodes += created
-            counters.node_visits += visits
-            counters.intersections += isects
-            counters.nodes_created += created
-            counters.support_updates += updates
 
     # ------------------------------------------------------------------
     # Reporting (Figure 4)
@@ -624,7 +437,6 @@ class PrefixTree:
         pairs: Iterator[Tuple[int, int]],
         counters: Optional[OperationCounters] = None,
         step: int = 0,
-        kernel=None,
     ) -> "PrefixTree":
         """Rebuild the repository tree from its closed family.
 
@@ -643,7 +455,7 @@ class PrefixTree:
         transactions already folded in) so step flags of later updates
         never collide with the rebuilt nodes' flag value 0.
         """
-        tree = cls(counters, kernel=kernel)
+        tree = cls(counters)
         root = tree._root
         n_nodes = 0
         depth_bound = 0

@@ -122,20 +122,6 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def intersect_count_many_bounded(
-        self, masks: Sequence[int], mask: int, n_bits: int, smin: int
-    ) -> Tuple[List[int], List[int]]:
-        """Intersections *and* their popcounts, mask-list form.
-
-        Returns ``(joints, supports)`` with ``joints[i] = masks[i] & mask``
-        and ``supports[i]`` its popcount — the IsTa level-batched
-        descent.  Same sentinel contract as
-        :meth:`intersect_count_table_bounded`: ``joints[i] = 0`` and
-        ``supports[i] = BELOW_BOUND`` whenever the true joint popcount
-        is below ``smin``.
-        """
-        raise NotImplementedError
-
     def superset_max_support_bounded(
         self, table, supports: Sequence[int], mask: int, smin: int
     ) -> int:

@@ -17,28 +17,6 @@ from .base import BELOW_BOUND, KernelBackend
 __all__ = ["BitIntBackend", "BitTable"]
 
 
-def intersect_count_bounded(
-    masks: Sequence[int], mask: int, smin: int
-) -> Tuple[List[int], List[int]]:
-    """``(joints, supports)`` of ``masks`` against ``mask`` on plain ints.
-
-    Entries below ``smin`` carry the :data:`BELOW_BOUND` sentinel and a
-    zero joint; shared by every backend's mask-list execution.
-    """
-    joints: List[int] = []
-    supports: List[int] = []
-    for m in masks:
-        joint = m & mask
-        support = _popcount(joint)
-        if support < smin:
-            joints.append(0)
-            supports.append(BELOW_BOUND)
-        else:
-            joints.append(joint)
-            supports.append(support)
-    return joints, supports
-
-
 class BitTable:
     """Packed-table form of the pure-int backend: just the mask list.
 
@@ -99,13 +77,18 @@ class BitIntBackend(KernelBackend):
     ) -> Tuple[BitTable, List[int]]:
         # The big-int AND runs at C speed either way; the reference
         # backend realises only the sentinel contract, not the skip.
-        joints, supports = intersect_count_bounded(table.masks[start:], mask, smin)
+        joints: List[int] = []
+        supports: List[int] = []
+        for row in table.masks[start:]:
+            joint = row & mask
+            support = _popcount(joint)
+            if support < smin:
+                joints.append(0)
+                supports.append(BELOW_BOUND)
+            else:
+                joints.append(joint)
+                supports.append(support)
         return BitTable(joints, table.n_bits), supports
-
-    def intersect_count_many_bounded(
-        self, masks: Sequence[int], mask: int, n_bits: int, smin: int
-    ) -> Tuple[List[int], List[int]]:
-        return intersect_count_bounded(masks, mask, smin)
 
     def superset_max_support_bounded(
         self, table: BitTable, supports: Sequence[int], mask: int, smin: int

@@ -17,8 +17,8 @@ Concretely (see ``benchmarks/BENCH_kernels.json``):
   ``superset_rows`` / ``superset_max_support_bounded`` (per-row loop)
   and the table-in/table-out ``intersect_count_table_bounded`` (no
   conversion at all) are vectorised here;
-* the mask-list forms (``intersect_many``, ``popcount_many``,
-  ``intersect_count_many_bounded``) are *conversion-bound*: the
+* the mask-list forms (``intersect_many``, ``popcount_many``) are
+  *conversion-bound*: the
   ``int ↔ bytes ↔ ndarray`` round trip at the boundary costs more than
   the C big-int operation it replaces, so this backend executes the
   same plain-int code as the ``bitint`` backend — per-primitive best
@@ -47,7 +47,6 @@ import numpy as np
 
 from ..data.itemset import _popcount
 from .base import BELOW_BOUND, KernelBackend
-from .bitint import intersect_count_bounded
 
 __all__ = ["NumpyBackend", "PackedTable"]
 
@@ -273,13 +272,6 @@ class NumpyBackend(KernelBackend):
                 joint[below] = 0
                 supports = np.where(below, BELOW_BOUND, supports)
         return PackedTable.from_rows(joint, table.n_bits), supports.tolist()
-
-    def intersect_count_many_bounded(
-        self, masks: Sequence[int], mask: int, n_bits: int, smin: int
-    ) -> Tuple[List[int], List[int]]:
-        # Mask-list form: conversion-bound, so the plain-int execution
-        # with the sentinel applied wins.
-        return intersect_count_bounded(masks, mask, smin)
 
     def superset_max_support_bounded(
         self, table: PackedTable, supports: Sequence[int], mask: int, smin: int

@@ -81,9 +81,6 @@ SPEC: Dict[str, Instrument] = {
     "intersect_count_table_bounded": Instrument(
         "max(0, len(table) - start), _width(table)", timed=True, aborts=True
     ),
-    "intersect_count_many_bounded": Instrument(
-        "len(masks), _mask_bytes(n_bits)", timed=True, aborts=True
-    ),
     "superset_max_support_bounded": Instrument(
         "len(table), _width(table)", timed=True
     ),

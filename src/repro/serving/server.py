@@ -79,6 +79,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -89,6 +90,10 @@ _JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
 #: Largest accepted POST body.  The verbs take item lists, not data
 #: uploads — a megabyte of items is already far past any real query.
 _MAX_BODY_BYTES = 1 << 20
+
+#: Longest accepted request or header line (the asyncio stream limit);
+#: a longer one answers 431.
+_MAX_LINE_BYTES = 1 << 16
 
 #: The verbs that accept a POSTed JSON item list.
 _POST_VERBS = ("supersets_of", "support_of")
@@ -102,6 +107,17 @@ class _HttpError(Exception):
         self.status = status
         self.message = message
         self.retry_after = retry_after
+
+
+class _Rejected(_HttpError):
+    """A request refused while reading it, before any routing.
+
+    ``reason`` names its ``serve.http.rejected.<reason>`` counter.
+    """
+
+    def __init__(self, status: int, reason: str, message: str):
+        super().__init__(status, message)
+        self.reason = reason
 
 
 class _Hot:
@@ -295,7 +311,7 @@ class QueryServer:
         if self._hot is None:
             await loop.run_in_executor(self._aux, self.load_initial)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._watch_task = loop.create_task(self._watch_store())
@@ -353,36 +369,17 @@ class QueryServer:
     ) -> None:
         try:
             try:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-            except asyncio.TimeoutError:
-                return
-            parts = request_line.decode("latin-1", "replace").split()
-            if len(parts) < 2:
-                return
-            method, target = parts[0], parts[1]
-            # Drain the headers, keeping Content-Length: POST verbs
-            # carry a JSON body, everything else has none to read.
-            content_length = 0
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1", "replace").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        content_length = int(value.strip())
-                    except ValueError:
-                        content_length = -1
-            request_body = b""
-            if 0 < content_length <= _MAX_BODY_BYTES:
-                request_body = await asyncio.wait_for(
-                    reader.readexactly(content_length), timeout=10.0
-                )
-            status, ctype, body, extra = await self._respond(
-                method, target, request_body, content_length
-            )
+                request = await self._read_request(reader)
+            except _Rejected as exc:
+                # The socket is still writable: answer instead of
+                # dropping the connection without a word.
+                self._obs.count(f"serve.http.rejected.{exc.reason}")
+                self._obs.count(f"serve.http.status.{exc.status}")
+                status, ctype, body, extra = self._error_response(exc)
+            else:
+                if request is None:
+                    return
+                status, ctype, body, extra = await self._respond(*request)
             head = [
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                 f"Content-Type: {ctype}",
@@ -402,6 +399,70 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    @staticmethod
+    async def _read_request(
+        reader: asyncio.StreamReader,
+    ) -> Optional[Tuple[str, str, bytes, int]]:
+        """Read one request: ``(method, target, body, content_length)``.
+
+        ``None`` when the client sends no request line (closes, or
+        stalls past the read timeout).  A request that cannot be read
+        raises :class:`_Rejected`: a line over the stream limit (431),
+        a request line without method and target, or a POST body
+        shorter than its ``Content-Length`` (400).
+        """
+
+        async def read_line() -> bytes:
+            try:
+                return await asyncio.wait_for(reader.readline(), timeout=10.0)
+            except ValueError:
+                raise _Rejected(
+                    431,
+                    "line_too_long",
+                    f"request or header line over the {_MAX_LINE_BYTES}-byte limit",
+                )
+
+        try:
+            request_line = await read_line()
+        except asyncio.TimeoutError:
+            return None
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1", "replace").split()
+        if len(parts) < 2:
+            raise _Rejected(
+                400, "bad_request_line", "malformed request line; expected "
+                "METHOD TARGET HTTP/1.1"
+            )
+        method, target = parts[0], parts[1]
+        # Drain the headers, keeping Content-Length: POST verbs carry a
+        # JSON body, everything else has none to read.
+        content_length = 0
+        while True:
+            line = await read_line()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1", "replace").partition(":")
+            if name.strip().lower() == "content-length":
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    content_length = -1
+        request_body = b""
+        if 0 < content_length <= _MAX_BODY_BYTES:
+            try:
+                request_body = await asyncio.wait_for(
+                    reader.readexactly(content_length), timeout=10.0
+                )
+            except asyncio.IncompleteReadError as exc:
+                raise _Rejected(
+                    400,
+                    "truncated_body",
+                    f"request body ended after {len(exc.partial)} of "
+                    f"{content_length} bytes",
+                )
+        return method, target, request_body, content_length
 
     async def _respond(
         self, method: str, target: str, request_body: bytes = b"",

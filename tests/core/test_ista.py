@@ -1,11 +1,14 @@
 """Tests for the IsTa miner (orders, pruning, option space)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.closure.verify import check_closed_family, closed_frequent_bruteforce
 from repro.core.ista import mine_ista
+from repro.core.incremental import IncrementalMiner
 from repro.data.database import TransactionDatabase
 from repro.stats import OperationCounters
 
@@ -118,18 +121,54 @@ class TestPruningEffect:
         assert counters.reports > 0
 
 
-class TestBatchedFlag:
-    """``batched=`` must be output-invisible end to end (with pruning)."""
-
-    @settings(deadline=None, max_examples=30)
-    @given(db=small_databases, smin=st.integers(1, 4))
-    def test_batched_flag_is_output_invisible(self, db, smin):
-        batched = mine_ista(db, smin, batched=True).as_frozensets()
-        recursive = mine_ista(db, smin, batched=False).as_frozensets()
-        assert batched == recursive
+class TestBackends:
+    """The backend only runs the pruning sweep: output is the oracle's."""
 
     @pytest.mark.parametrize("backend", [None, "bitint", "numpy", "native"])
-    def test_backends_agree_under_both_descents(self, table1_db, backend):
-        reference = mine_ista(table1_db, 2, batched=False).as_frozensets()
-        got = mine_ista(table1_db, 2, batched=True, backend=backend)
-        assert got.as_frozensets() == reference
+    @settings(deadline=None, max_examples=30)
+    @given(db=small_databases, smin=st.integers(1, 4))
+    def test_backends_match_bruteforce(self, backend, db, smin):
+        expected = dict(closed_frequent_bruteforce(db, smin))
+        assert dict(mine_ista(db, smin, backend=backend)) == expected
+
+
+class TestDeepPaths:
+    """Transactions wider than the default recursion limit.
+
+    The intersection recursion is as deep as the longest repository
+    path, i.e. the widest transaction; ``add_transaction`` raises the
+    interpreter's recursion limit to fit.  Each test starts from the
+    default limit, so a missing raise fails here instead of passing on
+    a limit an earlier test left behind.
+    """
+
+    WIDTH = 3000
+    ROWS = [
+        list(range(0, WIDTH)),
+        list(range(100, WIDTH + 100)),
+        list(range(200, WIDTH + 200)),
+        list(range(0, WIDTH + 200, 2)),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    def expected(self, smin):
+        db = TransactionDatabase.from_iterable(self.ROWS)
+        return db, closed_frequent_bruteforce(db, smin).as_frozensets()
+
+    @pytest.mark.parametrize("smin", [1, 2])
+    def test_mine_ista(self, smin):
+        db, expected = self.expected(smin)
+        assert mine_ista(db, smin).as_frozensets() == expected
+
+    def test_incremental_extend(self):
+        _, expected = self.expected(1)
+        miner = IncrementalMiner()
+        miner.extend(self.ROWS)
+        got = {frozenset(items): supp for items, supp in miner.closed_sets(1).items()}
+        assert got == expected

@@ -153,9 +153,16 @@ class TestPrimitiveParity:
             assert kernel.intersect_many(masks, probe, n_bits) == ref.intersect_many(
                 masks, probe, n_bits
             )
-            assert kernel.intersect_count_many_bounded(
-                masks, probe, n_bits, smin
-            ) == ref.intersect_count_many_bounded(masks, probe, n_bits, smin)
+            joint, supports = kernel.intersect_count_table_bounded(
+                kernel.pack(masks, n_bits), probe, smin
+            )
+            ref_joint, ref_supports = ref.intersect_count_table_bounded(
+                ref.pack(masks, n_bits), probe, smin
+            )
+            assert (_rows(kernel, joint), supports) == (
+                _rows(ref, ref_joint),
+                ref_supports,
+            )
             assert kernel.popcount_many(masks) == ref.popcount_many(masks)
 
     @given(masks=masks_strategy, n_bits=st.integers(1, 200), data=st.data())

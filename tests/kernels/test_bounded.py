@@ -62,12 +62,19 @@ def reference_bounded(masks, probe, smin):
 
 class TestBoundedContract:
     @pytest.mark.parametrize("kernel", backend_kernel_params())
-    @given(workload=mask_workloads())
+    @given(workload=mask_workloads(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_many_matches_reference(self, kernel, workload):
+    def test_many_matches_reference(self, kernel, workload, data):
+        # A list of masks packed once, narrowed from any start row.
         masks, probe, n_bits, smin = workload
-        got = kernel.intersect_count_many_bounded(masks, probe, n_bits, smin)
-        assert (list(got[0]), list(got[1])) == reference_bounded(masks, probe, smin)
+        start = data.draw(st.integers(min_value=0, max_value=len(masks)))
+        table = kernel.pack(masks, n_bits)
+        joints, supports = kernel.intersect_count_table_bounded(
+            table, probe, smin, start=start
+        )
+        assert (rows_of(kernel, joints), list(supports)) == reference_bounded(
+            masks[start:], probe, smin
+        )
 
     @pytest.mark.parametrize("kernel", backend_kernel_params())
     @given(workload=mask_workloads())
@@ -76,12 +83,9 @@ class TestBoundedContract:
         masks, probe, n_bits, _ = workload
         joints, supports = reference_bounded(masks, probe, 0)
         # smin=0 disables the bound entirely; smin at the floor of the
-        # true supports never fires the sentinel.  Both forms must then
-        # return the exact, unbounded intersections and supports.
+        # true supports never fires the sentinel.  The table form must
+        # then return the exact, unbounded intersections and supports.
         for smin in (0, min(supports, default=0)):
-            got = kernel.intersect_count_many_bounded(masks, probe, n_bits, smin)
-            assert list(got[0]) == joints
-            assert list(got[1]) == supports
             table = kernel.pack(masks, n_bits)
             joint, got_supports = kernel.intersect_count_table_bounded(
                 table, probe, smin
@@ -98,7 +102,8 @@ class TestBoundedContract:
         masks, probe, n_bits, smin = workload
         table = kernel.pack(masks, n_bits)
         joints, supports = kernel.intersect_count_table_bounded(table, probe, smin)
-        # The table form hands back a packed joint table, not a list.
+        # The table form hands back a packed joint table, not the
+        # mask lists ``reference_bounded`` computes.
         assert (rows_of(kernel, joints), list(supports)) == reference_bounded(
             masks, probe, smin
         )
@@ -134,14 +139,6 @@ class TestBoundedContract:
             table = kernel.pack(masks, n_bits)
             results.append(
                 (
-                    tuple(
-                        map(
-                            tuple,
-                            kernel.intersect_count_many_bounded(
-                                masks, probe, n_bits, smin
-                            ),
-                        )
-                    ),
                     (
                         lambda pair: (
                             tuple(rows_of(kernel, pair[0])),

@@ -114,25 +114,32 @@ class TestFoldPathHookBudget:
 
 
 class TestFoldPathPricedBound:
+    #: Both sides of the ratio are priced as the best of this many runs,
+    #: taken in alternation so a slow spell of a shared host lands on
+    #: both.  (Pricing the hooks from one sample against a best-of fold
+    #: biased the ratio against the hooks.)
+    REPEATS = 5
+
     def test_null_hook_cost_below_five_percent_of_fold_path(self, tmp_path):
         probe = CountingNullProbe()
         rounds = 20_000
-        started = time.perf_counter()
-        for _ in range(rounds):
-            probe.count("wal.appends")
-            probe.observe("wal.append.seconds", 0.0)
-            with probe.phase("serve.fold"):
-                pass
-        hook_seconds = (time.perf_counter() - started) / (rounds * 3)
+
+        def hooks():
+            for _ in range(rounds):
+                probe.count("wal.appends")
+                probe.observe("wal.append.seconds", 0.0)
+                with probe.phase("serve.fold"):
+                    pass
 
         rows = _rows(64)
-        best = min(
-            _timed(lambda run=run: _ingest_run(
+        hook_runs, fold_runs = [], []
+        for run in range(self.REPEATS):
+            hook_runs.append(_timed(hooks))
+            fold_runs.append(_timed(lambda run=run: _ingest_run(
                 tmp_path, f"run{run}", rows, None
-            ))
-            for run in range(3)
-        )
-        per_record = best / len(rows)
+            )))
+        hook_seconds = min(hook_runs) / (rounds * 3)
+        per_record = min(fold_runs) / len(rows)
         assert MAX_HOOKS_PER_RECORD * hook_seconds < 0.05 * per_record, (
             f"hook cost {hook_seconds * 1e9:.0f}ns x {MAX_HOOKS_PER_RECORD} "
             f"exceeds 5% of a {per_record * 1e6:.1f}us/record fold path"

@@ -26,6 +26,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -95,12 +96,18 @@ class ServeHarness:
     The in-process test client of the suite: ``get()`` speaks real
     HTTP/1.1 over a real socket to the real asyncio server, and error
     statuses are returned (not raised) so admission tests can assert on
-    them directly.
+    them directly.  Whatever the event loop reports to its exception
+    handler (an unhandled connection-task error, say) is collected in
+    ``loop_errors``.
     """
 
     def __init__(self, server: QueryServer) -> None:
         self.server = server
         self.loop = asyncio.new_event_loop()
+        self.loop_errors = []
+        self.loop.set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context)
+        )
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
 
     def __enter__(self) -> "ServeHarness":
@@ -125,6 +132,32 @@ class ServeHarness:
                 return resp.status, dict(resp.headers), resp.read()
         except urllib.error.HTTPError as error:
             return error.code, dict(error.headers), error.read()
+
+    def raw(self, payload, timeout=30):
+        """Send raw bytes, half-close, read to EOF: ``(status, body)``.
+
+        ``status`` is ``None`` when the server closed the connection
+        without an answer.  Waits for the loop to finish the connection
+        task afterwards, so ``loop_errors`` is complete on return.
+        """
+        data = b""
+        with socket.create_connection(
+            ("127.0.0.1", self.server.port), timeout=timeout
+        ) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            try:
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+            except ConnectionResetError:
+                pass
+        asyncio.run_coroutine_threadsafe(asyncio.sleep(0.2), self.loop).result(30)
+        head, _, body = data.partition(b"\r\n\r\n")
+        match = re.match(rb"HTTP/1\.1 (\d{3}) ", head)
+        return (int(match.group(1)) if match else None), body
 
     def get_json(self, path, timeout=30):
         status, headers, body = self.get(path, timeout=timeout)
@@ -484,6 +517,45 @@ class TestOperationalEndpoints:
         status, _, payload = harness.get_json("/top_k?k=-1")
         assert status == 400
         assert "k must be non-negative" in payload["error"]
+
+
+class TestBrokenClients:
+    """Requests the daemon cannot read get a status and a counter.
+
+    Never an unhandled exception in the connection task: the loop's
+    exception handler must stay silent.
+    """
+
+    @staticmethod
+    def assert_rejected(harness, payload, status, reason):
+        got, body = harness.raw(payload)
+        assert got == status
+        assert json.loads(body)["status"] == status
+        counters = harness.server.metrics.snapshot()["counters"]
+        assert counters[f"serve.http.rejected.{reason}"] == 1
+        assert counters[f"serve.http.status.{status}"] == 1
+        assert harness.loop_errors == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /closed_sets?pad=" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /closed_sets HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_oversized_line_answers_431(self, harness, payload):
+        self.assert_rejected(harness, payload, 431, "line_too_long")
+
+    def test_truncated_body_answers_400(self, harness):
+        payload = (
+            b"POST /support_of HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n[\"1\", \"2\""
+        )
+        self.assert_rejected(harness, payload, 400, "truncated_body")
+
+    def test_garbage_request_line_answers_400(self, harness):
+        self.assert_rejected(harness, b"GARBAGE\r\n\r\n", 400, "bad_request_line")
 
 
 class TestCliLifecycle:
