@@ -29,9 +29,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from . import itemset
 
 __all__ = ["TransactionDatabase"]
+
+#: Bytes of transaction bits unpacked at once by :meth:`item_supports`.
+_COUNT_CHUNK = 1 << 22
 
 
 class TransactionDatabase:
@@ -223,8 +228,25 @@ class TransactionDatabase:
         return self._vertical
 
     def item_supports(self) -> List[int]:
-        """Support of each single item, indexed by item code."""
-        return [itemset.size(mask) for mask in self.vertical()]
+        """Support of each single item, indexed by item code.
+
+        Counted per transaction from the masks' bytes, a chunk of
+        transactions at a time; the vertical form is not built for it.
+        """
+        if not self.n_items:
+            return []
+        width = (self.n_items + 7) // 8
+        supports = np.zeros(self.n_items, np.int64)
+        step = max(1, _COUNT_CHUNK // width)
+        for first in range(0, self.n_transactions, step):
+            chunk = b"".join(
+                mask.to_bytes(width, "little")
+                for mask in self.transactions[first : first + step]
+            )
+            rows = np.frombuffer(chunk, np.uint8).reshape(-1, width)
+            bits = np.unpackbits(rows, axis=1, count=self.n_items, bitorder="little")
+            supports += bits.sum(axis=0, dtype=np.int64)
+        return supports.tolist()
 
     def cover(self, mask: int) -> int:
         """Cover ``K_T(I)`` of an item set as a tid bitmask (Section 2.1).

@@ -192,6 +192,21 @@ class RunGuard:
         self._countdown = self.stride
         self._real_check()
 
+    def tick(self, n: int) -> None:
+        """Count ``n`` operations at once, as ``n`` :meth:`check` calls would.
+
+        For a vectorised step that covers ``n`` operations in one go:
+        ``checks`` advances by ``n``, and one real check runs when the
+        stride countdown reaches zero within them.  A fault plan then
+        fires at this poll, the first at or past its operation count.
+        """
+        self.checks += n
+        self._countdown -= n
+        if self._countdown > 0:
+            return
+        self._countdown = self.stride
+        self._real_check()
+
     def elapsed(self) -> float:
         """Wall-clock seconds since the guard started."""
         return time.monotonic() - self._started

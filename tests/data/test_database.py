@@ -83,6 +83,27 @@ class TestDerivedViews:
             expected = {tid for tid, row in enumerate(rows) if item in row}
             assert set(itemset.to_indices(vertical[item])) == expected
 
+    @given(
+        st.lists(st.lists(st.integers(min_value=0, max_value=77), max_size=30), max_size=12),
+        st.integers(min_value=78, max_value=140),
+    )
+    def test_item_supports_match_vertical(self, rows, n_items):
+        db = TransactionDatabase.from_iterable(rows, item_order=list(range(n_items)))
+        supports = db.item_supports()
+        assert db._vertical is None  # counted without building the vertical form
+        assert supports == [itemset.size(v) for v in db.vertical()]
+
+    def test_item_supports_across_chunks(self, monkeypatch):
+        import repro.data.database as database
+
+        rows = [[0, 9, 70], [9], [], [70, 71], [0, 71]]
+        db = TransactionDatabase.from_iterable(rows, item_order=list(range(72)))
+        whole = db.item_supports()
+        monkeypatch.setattr(database, "_COUNT_CHUNK", 20)  # two rows per chunk
+        assert db.item_supports() == whole
+        assert [whole[code] for code in (0, 9, 70, 71)] == [2, 2, 2, 2]
+        assert sum(whole) == 8
+
     @given(transaction_lists)
     def test_support_matches_manual_count(self, rows):
         db = TransactionDatabase.from_iterable(rows, item_order=list(range(10)))

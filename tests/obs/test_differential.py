@@ -106,29 +106,34 @@ def test_null_probe_hook_calls_are_input_size_independent(algorithm):
     assert counts["large"] <= counts["small"] + 2
 
 
+#: Both sides of the overhead ratio are priced as the best of this many
+#: runs, taken in alternation so a slow spell of a shared host lands on
+#: both.  (Two separate best-of loops let a drift in the host's speed
+#: between them tip the ratio either way.)
+OVERHEAD_REPEATS = 7
+
+
 def test_null_probe_overhead_is_below_five_percent(table1_db):
     # Price one hook call, then bound total hook cost per run against
-    # the cheapest real mining run.  Even a microsecond-scale hook rate
-    # times MAX_HOOKS_PER_RUN sits orders of magnitude below 5%.
-    # Both sides are best-of-N: a GC pause or scheduler slice inside a
-    # single pricing loop otherwise tips the (deliberately tight) bound
-    # on fast machines where a whole mining run is ~0.1ms.
+    # the cheapest real mining run.  The margin is not wide: on a
+    # 2-core host the 40 hooks come to 3.4-4.3% of the IsTa run on the
+    # Table-1 example (medians of 20 trials).
     probe = CountingNullProbe()
     rounds = 4_000
-    hook_seconds = None
-    for _ in range(5):
-        started = time.perf_counter()
+
+    def hooks():
         for _ in range(rounds):
             with probe.phase("mine"):
                 pass
             probe.count("x")
             probe.record_counters(None)
-        elapsed = (time.perf_counter() - started) / (rounds * 3)
-        hook_seconds = min(elapsed, hook_seconds or elapsed)
 
-    best_run = min(
-        _timed(lambda: mine(table1_db, 3, algorithm="ista")) for _ in range(5)
-    )
+    hook_runs, mine_runs = [], []
+    for _ in range(OVERHEAD_REPEATS):
+        hook_runs.append(_timed(hooks))
+        mine_runs.append(_timed(lambda: mine(table1_db, 3, algorithm="ista")))
+    hook_seconds = min(hook_runs) / (rounds * 3)
+    best_run = min(mine_runs)
     assert MAX_HOOKS_PER_RUN * hook_seconds < 0.05 * best_run, (
         f"hook cost {hook_seconds * 1e9:.0f}ns x {MAX_HOOKS_PER_RUN} exceeds "
         f"5% of a {best_run * 1e3:.2f}ms run"

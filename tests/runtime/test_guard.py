@@ -36,6 +36,38 @@ class TestCheckSampling:
         # 1 first check + every 64th thereafter.
         assert guard.real_checks == pytest.approx(1000 / 64, abs=2)
 
+    @pytest.mark.parametrize("stride", (1, 7, 64))
+    def test_tick_counts_like_single_checks(self, stride):
+        bulk, single = RunGuard(stride=stride), RunGuard(stride=stride)
+        for n in (1, 5, 64, 0, 130, 3):
+            bulk.tick(n)
+            for _ in range(n):
+                single.check()
+            assert bulk.checks == single.checks
+        assert bulk.checks == 203
+        # One real check per poll that reaches the countdown, never more.
+        assert 1 <= bulk.real_checks <= single.real_checks
+
+    @pytest.mark.parametrize("index", (1, 10, 11, 25, 26))
+    def test_stride_one_fault_trips_at_first_tick_at_or_past_index(self, index):
+        from repro.runtime import FaultPlan
+
+        guard = RunGuard(fault_plan=FaultPlan(timeout_at=index), stride=1)
+        polls = []
+        with pytest.raises(MiningTimeout):
+            for n in (10, 1, 14, 50):
+                polls.append(guard.checks + n)
+                guard.tick(n)
+        first = next(count for count in polls if count >= index)
+        assert guard.checks == first == polls[-1]
+        assert guard.fault_plan.trips == [("timeout", first)]
+
+    def test_tick_trips_deadline(self):
+        guard = RunGuard(deadline=time.monotonic() - 1.0, stride=64)
+        with pytest.raises(MiningTimeout):
+            guard.tick(1_000)
+        assert guard.checks == 1_000
+
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="timeout"):
             RunGuard(timeout=-1)
